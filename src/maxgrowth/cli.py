@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 
-from .core import GroupPresentation, GroupSpec, make_gk, make_hk
+from .core import GroupPresentation, GroupSpec, hk_action_matrices, make_gk, make_hk
 from .formulas import max_count_gk, max_count_hk, mdeg, noniso_certificate
 from .lowindex import DEFAULT_INDEX_BOUND, SearchBudgetExceeded, oracle_max_count
 from .recursion import recursive_gk, recursive_hk
@@ -136,8 +136,11 @@ def cmd_verify(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     k_lo, k_hi = _parse_k_range(args.k)
-    for k in range(k_lo, k_hi + 1):
+    # the valid k of each family form an interval, so the ends decide the range
+    for k in (k_lo, k_hi):
         _check_k(args.family, k)
+        if args.family == "hk":
+            hk_action_matrices(k)  # rejects |k| >= 2^63 before the first line
     if args.nmax < 2:
         raise ValueError(f"--nmax must be >= 2, got {args.nmax}")
     budget = _node_budget()

@@ -175,18 +175,32 @@ class IndexClass:
     exponent: int | None = None
 
 
+def _prime_power_class(p: int, e: int) -> IndexClass:
+    kind = "prime" if e == 1 else "prime_square" if e == 2 else "prime_power"
+    return IndexClass(kind, p=p, exponent=e)
+
+
 def classify_index(n: int) -> IndexClass:
     if n <= 0:
         raise ValueError(f"index must be positive, got {n}")
     if n == 1:
         return IndexClass("one")
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            return _prime_power_class(q, e) if n == 1 else IndexClass("composite")
     if is_prime(n):
         return IndexClass("prime", p=n, exponent=1)
-    for e in range(2, n.bit_length() + 1):
+    # every prime factor of n is at least 101, and so is any e-th root
+    e = 2
+    while 101 ** e <= n:
         r = _int_nth_root(n, e)
         if r ** e == n and is_prime(r):
-            kind = "prime_square" if e == 2 else "prime_power"
-            return IndexClass(kind, p=r, exponent=e)
+            return _prime_power_class(r, e)
+        e += 1
     return IndexClass("composite")
 
 
@@ -244,7 +258,12 @@ def make_gk(k: int) -> GroupPresentation:
 
 
 def hk_action_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The swap matrix A and B_k = [[0,1],[-1,k]] acting on the lattice."""
+    """The swap matrix A and B_k = [[0,1],[-1,k]] acting on the lattice.
+
+    The matrices are int64, so |k| must stay below 2^63.
+    """
+    if abs(k) >= 2 ** 63:
+        raise ValueError(f"|k| must be below 2^63 for the lattice action, got k={k}")
     a = np.array([[0, 1], [1, 0]], dtype=np.int64)
     b = np.array([[0, 1], [-1, k]], dtype=np.int64)
     return a, b
@@ -257,6 +276,7 @@ def make_hk(k: int) -> tuple[GroupPresentation, np.ndarray, np.ndarray]:
     reads off the matrix columns: a t1 a^-1 = t2, a t2 a^-1 = t1,
     b t1 b^-1 = t2^-1, b t2 b^-1 = t1 t2^k.
     """
+    mat_a, mat_b = hk_action_matrices(k)  # rejects k before building relators
     t1, t2, b, a = 1, 2, 3, 4
     if k >= 0:
         t2_to_minus_k: Word = (-t2,) * k
@@ -271,7 +291,6 @@ def make_hk(k: int) -> tuple[GroupPresentation, np.ndarray, np.ndarray]:
         (b, t2, -b) + t2_to_minus_k + (-t1,),
     )
     pres = GroupPresentation(("t1", "t2", "b", "a"), rels)
-    mat_a, mat_b = hk_action_matrices(k)
     return pres, mat_a, mat_b
 
 

@@ -5,11 +5,18 @@ The engine evaluates m_n(N x| G) = m_n(G) + sum over maximal submodules
 N_0 <= N of index n of |Der(G, N/N_0)|.  This identity is treated as an
 axiom here (it is imported, not re-proved); the low-index oracle validates
 it empirically.  Iterating it up the chain G_1 < G_2 < ... gives a route
-to m_n(G_k) and m_n(H_k) that is independent of the closed forms.
+to m_n(G_k) and m_n(H_k) that is independent of the closed forms: H_k
+takes its G_2 term from the G_2 level of the same chain.
+
+Each chain level -- Z x| G_{i-1} for G_i, and the lattice extension for
+H_k -- is built and validated once and then memoized, so a sweep over n
+repeats only the work that depends on n.  The memo is safe to share: its
+values are frozen dataclasses holding read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +24,6 @@ import numpy as np
 
 from .core import GroupPresentation, hk_action_matrices, is_prime, make_gk
 from .derivations import count_derivations
-from .formulas import max_count_gk
 from .modules import ModuleAction, maximal_submodules, quotient_action
 
 
@@ -57,6 +63,22 @@ def _inverting_rank1_action(num_generators: int) -> ModuleAction:
     return ModuleAction(1, None, (minus_one,) * num_generators)
 
 
+# distinct chain levels kept: far more than any sweep revisits
+_LEVEL_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+def _gk_level(i: int) -> SplitExtension:
+    """G_i as Z x| G_{i-1}, built and validated once."""
+    return SplitExtension(make_gk(i - 1), _inverting_rank1_action(i - 1))
+
+
+@functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+def _hk_level(k: int) -> SplitExtension:
+    """H_k as Z^2 x| G_2, built and validated once."""
+    return hk_lattice_extension(k)
+
+
 def recursive_gk(k: int, n: int) -> int:
     """m_n(G_k) by iterating the split-extension identity up the chain
     G_1 < G_2 < ... < G_k."""
@@ -67,9 +89,7 @@ def recursive_gk(k: int, n: int) -> int:
     # base case: the maximal subgroups of Z are exactly the pZ
     count = 1 if is_prime(n) else 0
     for i in range(2, k + 1):
-        ext = SplitExtension(make_gk(i - 1), _inverting_rank1_action(i - 1))
-        prev = count
-        count = max_count_split(ext, lambda _n, value=prev: value, n)
+        count = max_count_split(_gk_level(i), lambda _n, value=count: value, n)
     return count
 
 
@@ -80,8 +100,7 @@ def hk_lattice_extension(k: int) -> SplitExtension:
 
 
 def recursive_hk(k: int, n: int) -> int:
-    """m_n(H_k) from the G_2 closed form plus lattice submodule data."""
+    """m_n(H_k) from the G_2 level of the chain plus lattice submodule data."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    ext = hk_lattice_extension(k)
-    return max_count_split(ext, lambda m: max_count_gk(2, m).count, n)
+    return max_count_split(_hk_level(k), lambda m: recursive_gk(2, m), n)

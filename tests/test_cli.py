@@ -86,6 +86,21 @@ class TestTable:
             cli.main(["table", "--family", "zz", "--k", "2", "--nmax", "5"])
         assert exc.value.code == 2
 
+    def test_k_beyond_int64_rejected(self, capsys):
+        for methods in ("formula,recursion", "oracle"):
+            argv = ["table", "--family", "hk", "--k", str(10 ** 19), "--nmax", "5"]
+            code, out, err = run(argv + ["--methods", methods], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+        # the closed forms alone take any k
+        code, out, _ = run(
+            ["table", "--family", "hk", "--k", str(10 ** 19), "--nmax", "5", "--methods", "formula"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[2] == "3,7,p_divides_k_plus_2,formula"
+
 
 class TestVerify:
     def test_three_way_pass(self, capsys):
@@ -165,6 +180,16 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_k_beyond_int64_rejected(self, capsys):
+        # one good end is not enough: no line may be printed before the error
+        for k_arg in (str(10 ** 19), f"{2 ** 63 - 1}..{2 ** 63}", f"-{2 ** 63}..-{2 ** 63 - 1}"):
+            code, out, err = run(
+                ["verify", "--family", "hk", f"--k={k_arg}", "--nmax", "5"], capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestNoniso:
     def test_certificate_text(self, capsys):
@@ -190,6 +215,13 @@ class TestNoniso:
         )
         assert json.loads(out) == {"certificate": None}
 
+    def test_k_beyond_int64(self, capsys):
+        code, out, _ = run(["noniso", "--i", str(2 ** 64 + 2), "--j", "2"], capsys)
+        assert code == 0
+        assert out.strip() == (
+            f"certificate: p=3 side=minus m_p(H_{2 ** 64 + 2})=4 m_p(H_2)=13"
+        )
+
 
 class TestMdeg:
     def test_h2(self, capsys):
@@ -208,3 +240,10 @@ class TestMdeg:
     def test_limit_validation(self, capsys):
         code, _, _ = run(["mdeg", "--family", "hk", "--k", "2", "--limit", "50"], capsys)
         assert code == 2
+
+    def test_k_beyond_int64(self, capsys):
+        code, out, _ = run(
+            ["mdeg", "--family", "hk", "--k", str(10 ** 19), "--limit", "200"], capsys
+        )
+        assert code == 0
+        assert out.startswith(f"family=hk k={10 ** 19} exact=1 ")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from maxgrowth.core import (
     ALL_PRIMES,
@@ -31,6 +32,11 @@ def trial_classification(n):
         d += 1
     if m > 1:
         factors[m] = factors.get(m, 0) + 1
+    return classification_of(factors)
+
+
+def classification_of(factors):
+    """(kind, p, exponent) of the number with this prime factorization."""
     if not factors:
         return ("one", None, None)
     if len(factors) == 1:
@@ -103,6 +109,30 @@ class TestClassifyIndex:
         assert classify_index(2 ** 61).exponent == 61
         assert classify_index((2 ** 31 - 1) ** 2).kind == "prime_square"
 
+    @pytest.mark.parametrize("q", [101, 103, 9973, 65537, 2 ** 31 - 1])
+    def test_powers_of_primes_above_97(self, q):
+        # no small prime divides these, so they take the e-th root branch
+        e = 1
+        while q ** e < 2 ** 64:
+            cls = classify_index(q ** e)
+            assert (cls.kind, cls.p, cls.exponent) == classification_of({q: e})
+            e += 1
+
+    def test_products_of_primes_above_97(self):
+        large = [101, 103, 9973, 65537, 2 ** 31 - 1]
+        for i, q in enumerate(large):
+            for r in large[i + 1 :]:
+                assert classify_index(q * r).kind == "composite", (q, r)
+                # q r^2 and q^2 r are not perfect powers either
+                assert classify_index(q * r * r).kind == "composite", (q, r)
+                assert classify_index(q * q * r).kind == "composite", (q, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=2 ** 64 - 1))
+    def test_against_factorint(self, n):
+        cls = classify_index(n)
+        assert (cls.kind, cls.p, cls.exponent) == classification_of(factorint(n))
+
 
 class TestMakeGk:
     def test_rank_one_is_free(self):
@@ -149,6 +179,15 @@ class TestMakeHk:
             a, b = hk_action_matrices(k)
             assert int_det(b) == 1
             assert check_semidirect_compatibility(a, b)
+
+    def test_k_beyond_int64_rejected(self):
+        for k in (2 ** 63, -(2 ** 63), 10 ** 19):
+            with pytest.raises(ValueError, match="2\\^63"):
+                hk_action_matrices(k)
+            with pytest.raises(ValueError, match="2\\^63"):
+                make_hk(k)
+        _, b = hk_action_matrices(2 ** 63 - 1)
+        assert int(b[1, 1]) == 2 ** 63 - 1
 
     def test_presentation_shape(self):
         pres, _, _ = make_hk(7)

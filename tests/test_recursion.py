@@ -1,6 +1,10 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
+from maxgrowth import cli, formulas, recursion
 from maxgrowth.core import hk_action_matrices, make_gk, primes_up_to
 from maxgrowth.formulas import max_count_gk, max_count_hk
 from maxgrowth.modules import ModuleAction
@@ -94,3 +98,53 @@ class TestSummandTable:
             ext = hk_lattice_extension(k)
             base = max_count_split(ext, lambda _n: 0, n)
             assert max_count_split(ext, lambda _n: 100, n) == base + 100
+
+
+def _clear_level_caches():
+    recursion._gk_level.cache_clear()
+    recursion._hk_level.cache_clear()
+
+
+class TestStandsAlone:
+    def test_independent_of_closed_forms(self, monkeypatch):
+        cells = [(recursive_hk, k, n) for k in range(-3, 4) for n in range(2, 61)]
+        cells += [(recursive_gk, k, n) for k in range(1, 5) for n in range(2, 61)]
+        before = [route(k, n) for route, k, n in cells]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the recursion route called a closed form")
+
+        public = {
+            fn
+            for name, fn in inspect.getmembers(formulas, inspect.isfunction)
+            if not name.startswith("_") and fn.__module__ == formulas.__name__
+        }
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "maxgrowth":
+                continue
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in public):
+                    monkeypatch.setattr(module, attr, forbidden)
+        _clear_level_caches()  # rebuild the chain levels under the patch too
+        assert [route(k, n) for route, k, n in cells] == before
+
+
+class TestValidatedOnce:
+    @pytest.mark.parametrize(
+        "family,k_range,levels",
+        [("hk", "-3..3", 8), ("gk", "1..6", 5)],  # hk: 7 lattice levels + G_2
+    )
+    def test_each_level_validated_once(self, monkeypatch, capsys, family, k_range, levels):
+        calls = []
+        satisfies = ModuleAction.satisfies
+
+        def counting(self, presentation):
+            calls.append(presentation)
+            return satisfies(self, presentation)
+
+        monkeypatch.setattr(ModuleAction, "satisfies", counting)
+        _clear_level_caches()
+        argv = ["verify", "--family", family, f"--k={k_range}", "--nmax", "200"]
+        assert cli.main(argv) == 0
+        assert "fail=0" in capsys.readouterr().out
+        assert 0 < len(calls) <= levels
