@@ -8,8 +8,6 @@ N_0 then contributes |Der(G_2, Z^2/N_0)| maximal subgroups, a count the
 cocycle solver reads off as a nullity over F_p.
 """
 
-import numpy as np
-
 from maxgrowth import (
     ModuleAction,
     brute_force_count,
@@ -44,11 +42,11 @@ action = ModuleAction(2, None, hk_action_matrices(k))
 reduced = reduce_mod_p(action, p)
 (line,) = invariant_subspaces(reduced, 1)
 print(f"\nk={k}, p={p}: invariant line {line.subspace_basis}, "
-      f"preimage lattice rows {line.lattice_basis.tolist()}, index {line.index}")
+      f"preimage lattice rows {line.lattice_basis}, index {line.index}")
 
 induced = quotient_action(reduced, line)
-print(f"quotient action on Z^2/M_{p}: a -> {induced.matrices[0].tolist()}, "
-      f"b -> {induced.matrices[1].tolist()}")
+print(f"quotient action on Z^2/M_{p}: a -> {induced.matrices[0]}, "
+      f"b -> {induced.matrices[1]}")
 
 pres = make_gk(2)
 space = count_derivations(pres, induced)

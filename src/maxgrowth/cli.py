@@ -5,8 +5,9 @@ Tables and verdicts go to stdout; diagnostics go to stderr.  Exit status
 is 0 when every computed route agrees, 1 on any inter-method
 disagreement, 2 on usage errors.  The environment variable
 MAXGROWTH_NODE_BUDGET overrides the node budget of the enumeration
-oracle; cells whose search exceeds the budget are reported as SKIPPED by
-``verify`` rather than failing the run.
+oracle; a cell whose search exceeds the budget is skipped rather than
+failing the run: ``verify`` reports it as SKIPPED, and ``table`` leaves
+out its oracle row and names the skipped n on stderr.
 """
 
 from __future__ import annotations
@@ -119,12 +120,11 @@ def cmd_table(args, out=None, err=None) -> int:
                         pres, n, node_budget=budget, index_bound=index_bound
                     )
                 except SearchBudgetExceeded as exc:
-                    print(f"oracle budget exhausted at n={n}: {exc}", file=err)
-                    return 1
+                    print(f"n={n} oracle=SKIPPED: {exc}", file=err)
         if len(set(counts.values())) > 1:
             disagree = True
-        for method in methods:
-            rows.append(TableRow(n=n, count=counts[method], case=growth.case_tag, method=method))
+        for method, count in counts.items():
+            rows.append(TableRow(n=n, count=count, case=growth.case_tag, method=method))
     _emit_rows(rows, args.format, out)
     if disagree:
         print("inter-method disagreement detected", file=err)

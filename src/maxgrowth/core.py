@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import int_det, int_inverse_unimodular
+from .linalg import Matrix, as_int_matrix, identity, int_det, int_inverse_unimodular, mat_mul
 
 Word = tuple[int, ...]
 
@@ -257,19 +257,18 @@ def make_gk(k: int) -> GroupPresentation:
     return GroupPresentation(names, rels)
 
 
-def hk_action_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
+def hk_action_matrices(k: int) -> tuple[Matrix, Matrix]:
     """The swap matrix A and B_k = [[0,1],[-1,k]] acting on the lattice.
 
-    The matrices are int64, so |k| must stay below 2^63.
+    |k| must stay below 2^63: the command line rejects larger k with exit
+    2, and make_hk checks it before spelling out a relator of |k| + 4 letters.
     """
     if abs(k) >= 2 ** 63:
         raise ValueError(f"|k| must be below 2^63 for the lattice action, got k={k}")
-    a = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    b = np.array([[0, 1], [-1, k]], dtype=np.int64)
-    return a, b
+    return ((0, 1), (1, 0)), ((0, 1), (-1, k))
 
 
-def make_hk(k: int) -> tuple[GroupPresentation, np.ndarray, np.ndarray]:
+def make_hk(k: int) -> tuple[GroupPresentation, Matrix, Matrix]:
     """Flattened presentation of H_k = Z^2 x| G_2, plus the action matrices.
 
     Generators are (t1, t2, b, a); t1, t2 span the lattice.  Conjugation
@@ -297,10 +296,9 @@ def make_hk(k: int) -> tuple[GroupPresentation, np.ndarray, np.ndarray]:
 def check_semidirect_compatibility(a_mat, b_mat) -> bool:
     """Whether A B A^-1 B = I, the condition for a and b to act on Z^2
     compatibly with the G_2 relator a b a^-1 b."""
-    a = np.array(a_mat, dtype=np.int64)
-    b = np.array(b_mat, dtype=np.int64)
+    a, b = as_int_matrix(a_mat), as_int_matrix(b_mat)
     for m in (a, b):
         if int_det(m) not in (1, -1):
             raise ValueError("action matrices must be unimodular")
-    prod = a @ b @ int_inverse_unimodular(a) @ b
-    return bool(np.array_equal(prod, np.eye(a.shape[0], dtype=np.int64)))
+    prod = mat_mul(mat_mul(mat_mul(a, b), int_inverse_unimodular(a)), b)
+    return prod == identity(len(a))

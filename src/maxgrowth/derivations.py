@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GroupPresentation
-from .linalg import inv_mod, rank_mod
+from .linalg import Matrix, identity, mat_mul, rank_mod
 from .modules import ModuleAction
 
 BRUTE_FORCE_BOUND = 10 ** 6
@@ -33,13 +33,15 @@ class CocycleSystem:
     p: int
     num_generators: int
     dim: int
-    rows: np.ndarray  # shape (num_relators * dim, num_generators * dim)
+    rows: Matrix  # num_relators * dim rows of num_generators * dim entries
 
     def __post_init__(self):
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         expected = self.num_generators * self.dim
-        if self.rows.ndim != 2 or self.rows.shape[1] != expected:
-            raise ValueError(f"system has {self.rows.shape[1]} columns, expected {expected}")
-        self.rows.setflags(write=False)
+        for row in rows:
+            if len(row) != expected:
+                raise ValueError(f"system has {len(row)} columns, expected {expected}")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def num_unknowns(self) -> int:
@@ -58,7 +60,7 @@ class DerivationSpace:
         return self.p ** self.dimension
 
 
-def word_derivation_row(word, action: ModuleAction) -> np.ndarray:
+def word_derivation_row(word, action: ModuleAction) -> Matrix:
     """The functional L with L(values of d on generators) = d(word).
 
     Left-to-right scan accumulating the acting prefix matrix: a positive
@@ -69,21 +71,17 @@ def word_derivation_row(word, action: ModuleAction) -> np.ndarray:
     if action.p is None:
         raise ValueError("cocycle rows are built mod p; reduce the action first")
     p, d, m = action.p, action.rank, action.num_generators
-    row = np.zeros((d, m * d), dtype=np.int64)
-    prefix = np.eye(d, dtype=np.int64)
+    row = [[0] * (m * d) for _ in range(d)]
+    prefix = identity(d)
     for letter in word:
-        g = abs(letter) - 1
-        if not 0 <= g < m:
-            raise ValueError(f"unknown generator index {letter}")
-        block = slice(g * d, (g + 1) * d)
-        if letter > 0:
-            row[:, block] = (row[:, block] + prefix) % p
-            prefix = prefix @ action.matrices[g] % p
-        else:
-            step = prefix @ inv_mod(action.matrices[g], p) % p
-            row[:, block] = (row[:, block] - step) % p
-            prefix = step
-    return row
+        step = mat_mul(prefix, action.generator_matrix(letter), p)  # rejects unknown letters
+        term, sign = (prefix, 1) if letter > 0 else (step, -1)
+        start = (abs(letter) - 1) * d
+        for out, coeffs in zip(row, term):
+            for j, x in enumerate(coeffs, start):
+                out[j] = (out[j] + sign * x) % p
+        prefix = step
+    return tuple(map(tuple, row))
 
 
 def build_system(presentation: GroupPresentation, action: ModuleAction) -> CocycleSystem:
@@ -93,12 +91,12 @@ def build_system(presentation: GroupPresentation, action: ModuleAction) -> Cocyc
             f"action has {action.num_generators} matrices for "
             f"{presentation.num_generators} generators"
         )
-    d, m = action.rank, action.num_generators
-    if presentation.relators:
-        rows = np.vstack([word_derivation_row(rel, action) for rel in presentation.relators])
-    else:
-        rows = np.zeros((0, m * d), dtype=np.int64)
-    return CocycleSystem(p=action.p, num_generators=m, dim=d, rows=rows)
+    rows = tuple(
+        row for rel in presentation.relators for row in word_derivation_row(rel, action)
+    )
+    return CocycleSystem(
+        p=action.p, num_generators=action.num_generators, dim=action.rank, rows=rows
+    )
 
 
 def count_derivations(presentation: GroupPresentation, action: ModuleAction) -> DerivationSpace:
@@ -120,9 +118,9 @@ def brute_force_count(
     total = p ** (d * m)
     if total > bound:
         raise ValueError(f"enumeration bound exceeded: |S|^m = {total} > {bound}")
-    if system.rows.shape[0] == 0:
+    if not system.rows:
         return total  # no relators: every assignment extends to a derivation
     grids = np.meshgrid(*([np.arange(p, dtype=np.int64)] * (d * m)), indexing="ij")
     assignments = np.stack([g.ravel() for g in grids], axis=1)
-    residuals = assignments @ system.rows.T % p
+    residuals = assignments @ np.array(system.rows, dtype=np.int64).T % p
     return int(np.count_nonzero(~residuals.any(axis=1)))

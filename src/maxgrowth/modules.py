@@ -8,29 +8,34 @@ action on the c-dimensional quotient space is simple.  Submodules carry
 the Hermite normal form basis of their preimage lattice, which makes
 equality, ordering and deduplication exact.
 
+Matrices are tuples of row tuples of Python ints, as in :mod:`.linalg`.
 Invariant subspaces are found by brute force over normalized (reduced row
 echelon form) bases.  The sizes here are tiny and the enumeration doubles
-as its own oracle; the rank-2 codimension-1 case is vectorized because the
-growth recursion calls it for every prime up to the sampling limit.
+as its own oracle.  The rank-2 lines, met at every prime the recursion
+samples, are tested one matrix at a time: the line through (1, t) is
+invariant under [[a, b], [c, d]] exactly when c + (d - a)t - bt^2 = 0 mod
+p, and the line through (0, 1) exactly when b = 0 mod p.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .core import GroupPresentation, classify_index, hk_action_matrices, is_prime
 from .linalg import (
+    Matrix,
+    as_int_matrix,
     hnf_rows,
+    identity,
     in_row_span_mod,
     int_det,
     int_inverse_unimodular,
     inv_mod,
+    mat_mul,
     rank_mod,
     reduce_by_rref,
-    rref_mod,
 )
 
 ENUMERATION_BOUND = 10 ** 6
@@ -46,32 +51,31 @@ class ModuleAction:
 
     rank: int
     p: int | None
-    matrices: tuple[np.ndarray, ...]
+    matrices: tuple[Matrix, ...]
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         mats = []
         for m in self.matrices:
-            arr = np.array(m, dtype=np.int64)
-            if arr.shape != (self.rank, self.rank):
-                raise ValueError(f"action matrix has shape {arr.shape}, expected {(self.rank, self.rank)}")
+            mat = as_int_matrix(m)
+            if len(mat) != self.rank:
+                raise ValueError(f"action matrix is {len(mat)}x{len(mat)}, expected rank {self.rank}")
             if self.p is None:
-                if int_det(arr) not in (1, -1):
+                if int_det(mat) not in (1, -1):
                     raise ValueError("integral action matrices must be unimodular")
             else:
-                arr = arr % self.p
-                if rank_mod(arr, self.p) != self.rank:
+                mat = tuple(tuple(x % self.p for x in row) for row in mat)
+                if rank_mod(mat, self.p) != self.rank:
                     raise ValueError(f"action matrix singular mod {self.p}")
-            arr.setflags(write=False)
-            mats.append(arr)
+            mats.append(mat)
         object.__setattr__(self, "matrices", tuple(mats))
 
     @property
     def num_generators(self) -> int:
         return len(self.matrices)
 
-    def generator_matrix(self, letter: int) -> np.ndarray:
+    def generator_matrix(self, letter: int) -> Matrix:
         """Matrix of a signed generator letter (negative = inverse)."""
         g = abs(letter) - 1
         if not 0 <= g < self.num_generators:
@@ -83,22 +87,18 @@ class ModuleAction:
             return int_inverse_unimodular(m)
         return inv_mod(m, self.p)
 
-    def word_matrix(self, word) -> np.ndarray:
-        out = np.eye(self.rank, dtype=np.int64)
+    def word_matrix(self, word) -> Matrix:
+        out = identity(self.rank)
         for letter in word:
-            out = out @ self.generator_matrix(letter)
-            if self.p is not None:
-                out %= self.p
+            out = mat_mul(out, self.generator_matrix(letter), self.p)
         return out
 
     def satisfies(self, presentation: GroupPresentation) -> bool:
         """Whether every relator evaluates to the identity matrix."""
         if presentation.num_generators != self.num_generators:
             return False
-        eye = np.eye(self.rank, dtype=np.int64)
-        return all(
-            np.array_equal(self.word_matrix(rel), eye) for rel in presentation.relators
-        )
+        eye = identity(self.rank)
+        return all(self.word_matrix(rel) == eye for rel in presentation.relators)
 
 
 def reduce_mod_p(action: ModuleAction, p: int) -> ModuleAction:
@@ -107,7 +107,7 @@ def reduce_mod_p(action: ModuleAction, p: int) -> ModuleAction:
         raise ValueError("action is already reduced mod a prime")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return ModuleAction(action.rank, p, tuple(m % p for m in action.matrices))
+    return ModuleAction(action.rank, p, action.matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,14 +121,15 @@ class Submodule:
 
     ambient: ModuleAction
     subspace_basis: tuple[tuple[int, ...], ...]
-    lattice_basis: np.ndarray
+    lattice_basis: Matrix
     index: int
 
     def __post_init__(self):
-        d = abs(int_det(self.lattice_basis))
+        basis = as_int_matrix(self.lattice_basis)
+        d = abs(int_det(basis))
         if d != self.index:
             raise ValueError(f"lattice basis determinant {d} != index {self.index}")
-        self.lattice_basis.setflags(write=False)
+        object.__setattr__(self, "lattice_basis", basis)
 
     @property
     def p(self) -> int:
@@ -142,22 +143,18 @@ class Submodule:
 def _submodule_from_subspace(action: ModuleAction, basis) -> Submodule:
     p, r = action.p, action.rank
     rows = [[p if i == j else 0 for j in range(r)] for i in range(r)]
-    rows.extend(list(map(int, vec)) for vec in basis)
-    lattice = hnf_rows(rows)
-    codim = r - len(basis)
+    rows.extend(basis)
     return Submodule(
         ambient=action,
-        subspace_basis=tuple(tuple(int(x) for x in vec) for vec in basis),
-        lattice_basis=lattice,
-        index=p ** codim,
+        subspace_basis=basis,
+        lattice_basis=hnf_rows(rows),
+        index=p ** (r - len(basis)),
     )
 
 
 def _rref_bases(p: int, r: int, d: int):
-    """All RREF bases of d-dimensional subspaces of F_p^r, one per subspace."""
-    if d == 0:
-        yield ()
-        return
+    """All RREF bases of d-dimensional subspaces of F_p^r (d >= 1), one per
+    subspace."""
     for pivots in itertools.combinations(range(r), d):
         free = [
             (i, j)
@@ -175,17 +172,27 @@ def _rref_bases(p: int, r: int, d: int):
 
 
 def _invariant_lines_rank2(action: ModuleAction) -> list[tuple[tuple[int, int], ...]]:
-    """Vectorized scan of the p + 1 lines of F_p^2 for joint invariance."""
+    """Scan the p + 1 lines of F_p^2 against the first matrix, then filter
+    the survivors through the rest."""
     p = action.p
-    reps = np.ones((p + 1, 2), dtype=np.int64)
-    reps[:p, 1] = np.arange(p)
-    reps[p] = (0, 1)
-    keep = np.ones(p + 1, dtype=bool)
-    for m in action.matrices:
-        imgs = reps @ m.T % p
-        cross = (reps[:, 0] * imgs[:, 1] - reps[:, 1] * imgs[:, 0]) % p
-        keep &= cross == 0
-    return [((int(v[0]), int(v[1])),) for v in reps[keep]]
+    slopes = [*range(p), None]  # t for the line through (1, t); None for (0, 1)
+    for (a, b), (c, d) in action.matrices:
+        slopes = [t for t in slopes if (b if t is None else c + (d - a - b * t) * t) % p == 0]
+    return [((0, 1) if t is None else (1, t),) for t in slopes]
+
+
+def _pivots(basis) -> list[int]:
+    return [next(j for j, x in enumerate(row) if x) for row in basis]
+
+
+def _is_invariant(action: ModuleAction, basis, pivots: list[int]) -> bool:
+    """Whether every matrix maps the span of an RREF basis into itself."""
+    p = action.p
+    return all(
+        in_row_span_mod([sum(map(mul, row, v)) for row in m], basis, pivots, p)
+        for m in action.matrices
+        for v in basis
+    )
 
 
 def invariant_subspaces(action: ModuleAction, codim: int) -> list[Submodule]:
@@ -196,27 +203,18 @@ def invariant_subspaces(action: ModuleAction, codim: int) -> list[Submodule]:
     p, r = action.p, action.rank
     if not 1 <= codim <= r:
         raise ValueError(f"codim must lie in 1..{r}")
+    if codim == r:
+        return [_submodule_from_subspace(action, ())]  # only the zero subspace
     if p ** r > ENUMERATION_BOUND:
         raise ValueError(f"enumeration bound exceeded: {p}^{r} > {ENUMERATION_BOUND}")
-    d = r - codim
-    if r == 2 and codim == 1:
+    if r == 2:
         found = _invariant_lines_rank2(action)
     else:
-        found = []
-        for basis in _rref_bases(p, r, d):
-            if d == 0:
-                found.append(basis)
-                continue
-            mat = np.array(basis, dtype=np.int64)
-            pivots = [int(np.flatnonzero(row)[0]) for row in mat]
-            ok = True
-            for m in action.matrices:
-                imgs = mat @ m.T % p
-                if not all(in_row_span_mod(v, mat, pivots, p) for v in imgs):
-                    ok = False
-                    break
-            if ok:
-                found.append(basis)
+        found = [
+            basis
+            for basis in _rref_bases(p, r, r - codim)
+            if _is_invariant(action, basis, _pivots(basis))
+        ]
     found.sort()
     return [_submodule_from_subspace(action, basis) for basis in found]
 
@@ -227,20 +225,16 @@ def quotient_action(action: ModuleAction, sub: Submodule) -> ModuleAction:
     p, r = action.p, action.rank
     if p is None or sub.p != p or sub.ambient.rank != r:
         raise ValueError("submodule does not match the action")
-    basis = np.array(sub.subspace_basis, dtype=np.int64).reshape(len(sub.subspace_basis), r)
-    pivots = [int(np.flatnonzero(row)[0]) for row in basis]
-    for m in action.matrices:
-        imgs = basis @ m.T % p if len(basis) else basis
-        if not all(in_row_span_mod(v, basis, pivots, p) for v in imgs):
-            raise ValueError("subspace is not invariant under the action")
+    basis = sub.subspace_basis
+    pivots = _pivots(basis)
+    if not _is_invariant(action, basis, pivots):
+        raise ValueError("subspace is not invariant under the action")
     comp = [j for j in range(r) if j not in pivots]
     mats = []
     for m in action.matrices:
-        q = np.zeros((len(comp), len(comp)), dtype=np.int64)
-        for col, j in enumerate(comp):
-            rem = reduce_by_rref(m[:, j], basis, pivots, p)
-            q[:, col] = rem[comp]
-        mats.append(q)
+        # column j of m is the image of e_j; keep its complement coordinates
+        cols = [reduce_by_rref([row[j] for row in m], basis, pivots, p) for j in comp]
+        mats.append(tuple(tuple(col[i] for col in cols) for i in comp))
     return ModuleAction(len(comp), p, tuple(mats))
 
 

@@ -11,7 +11,7 @@ takes its G_2 term from the G_2 level of the same chain.
 Each chain level -- Z x| G_{i-1} for G_i, and the lattice extension for
 H_k -- is built and validated once and then memoized, so a sweep over n
 repeats only the work that depends on n.  The memo is safe to share: its
-values are frozen dataclasses holding read-only arrays.
+values are frozen dataclasses holding tuples.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .core import GroupPresentation, hk_action_matrices, is_prime, make_gk
 from .derivations import count_derivations
@@ -59,8 +57,7 @@ def _inverting_rank1_action(num_generators: int) -> ModuleAction:
     # x_i x_k x_i^-1 x_k = 1 gives x_i x_k x_i^-1 = x_k^-1: inside G_k every
     # lower generator conjugates the top Z factor to its inverse, so all
     # generators of the quotient G_{k-1} act on Z by -1.
-    minus_one = np.array([[-1]], dtype=np.int64)
-    return ModuleAction(1, None, (minus_one,) * num_generators)
+    return ModuleAction(1, None, (((-1,),),) * num_generators)
 
 
 # distinct chain levels kept: far more than any sweep revisits

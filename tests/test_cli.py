@@ -86,6 +86,26 @@ class TestTable:
             cli.main(["table", "--family", "zz", "--k", "2", "--nmax", "5"])
         assert exc.value.code == 2
 
+    def test_budget_exhaustion_skips_oracle_rows(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAXGROWTH_NODE_BUDGET", "50")
+        code, out, err = run(
+            [
+                "table", "--family", "hk", "--k", "1", "--nmax", "6",
+                "--methods", "formula,oracle",
+            ],
+            capsys,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,count,case,method"
+        assert [line for line in lines if line.endswith(",oracle")] == ["2,3,p_coprime,oracle"]
+        assert [line.split(",")[0] for line in lines if line.endswith(",formula")] == [
+            "2", "3", "4", "5", "6",
+        ]
+        skipped = err.splitlines()
+        assert [line.split()[0] for line in skipped] == ["n=3", "n=4", "n=5", "n=6"]
+        assert all("oracle=SKIPPED" in line and "budget" in line for line in skipped)
+
     def test_k_beyond_int64_rejected(self, capsys):
         for methods in ("formula,recursion", "oracle"):
             argv = ["table", "--family", "hk", "--k", str(10 ** 19), "--nmax", "5"]

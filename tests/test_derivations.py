@@ -33,23 +33,23 @@ def g2_lattice_action(k, p):
 class TestWordRow:
     def test_single_letter(self):
         act = g2_lattice_action(3, 5)
-        row = word_derivation_row((1,), act)
+        row = np.array(word_derivation_row((1,), act))
         assert row[:, :2].tolist() == [[1, 0], [0, 1]]
         assert not row[:, 2:].any()
 
     def test_cancelling_pair_gives_zero(self):
         act = g2_lattice_action(3, 5)
         for word in [(-1, 1), (1, -1), (2, -2), (-2, 2)]:
-            assert not word_derivation_row(word, act).any()
+            assert not np.array(word_derivation_row(word, act)).any()
 
     def test_g2_relator_row_matches_coefficient_matrices(self):
         # the blocks of the a b a^-1 b row are I - B_k^-1 and A + B_k^-1,
         # and det(I - B_k^-1) = 2 - k
         for k, p in [(5, 7), (2, 3), (0, 5), (-3, 11), (7, 31)]:
             act = g2_lattice_action(k, p)
-            row = word_derivation_row((1, 2, -1, 2), act)
+            row = np.array(word_derivation_row((1, 2, -1, 2), act))
             a_mat, b_mat = hk_action_matrices(k)
-            b_inv = inv_mod(b_mat % p, p)
+            b_inv = np.array(inv_mod(np.array(b_mat) % p, p))
             eye = np.eye(2, dtype=np.int64)
             assert np.array_equal(row[:, :2], (eye - b_inv) % p)
             assert np.array_equal(row[:, 2:], (a_mat + b_inv) % p)
@@ -60,7 +60,7 @@ class TestWordRow:
         # imposes 2 d(x1) = 2 d(x2)
         act = minus_one_action(2, 5)
         row = word_derivation_row((1, 2, -1, 2), act)
-        assert row.tolist() == [[2, 3]]
+        assert row == ((2, 3),)
 
     def test_unknown_generator_rejected(self):
         act = minus_one_action(2, 5)
@@ -73,15 +73,15 @@ class TestBuildSystem:
         pres = make_gk(4)
         act = minus_one_action(4, 3)
         system = build_system(pres, act)
-        assert system.rows.shape == (6, 4)
+        assert np.array(system.rows).shape == (6, 4)
         act2 = g2_lattice_action(1, 3)
         system2 = build_system(make_gk(2), act2)
-        assert system2.rows.shape == (2, 4)
+        assert np.array(system2.rows).shape == (2, 4)
 
     def test_trivial_action_mod_2_gives_zero_system(self):
         act = ModuleAction(1, 2, (np.array([[1]]),) * 2)
         system = build_system(make_gk(2), act)
-        assert not system.rows.any()
+        assert not np.array(system.rows).any()
 
     def test_mp_quotient_gives_zero_system(self):
         # both coefficient blocks vanish on Z^2/M_p when p | k - 2
@@ -89,7 +89,7 @@ class TestBuildSystem:
         sub = invariant_subspaces(red, 1)[0]
         q = quotient_action(red, sub)
         system = build_system(make_gk(2), q)
-        assert not system.rows.any()
+        assert not np.array(system.rows).any()
 
     def test_mismatched_action_rejected(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ def test_rref_and_rank():
     assert rank_mod(mat, 5) == 2
     # every pivot column holds a single 1
     for r, c in enumerate(pivots):
-        col = red[:, c]
+        col = [row[c] for row in red]
         assert col[r] == 1 and np.count_nonzero(col) == 1
 
 
@@ -55,19 +55,46 @@ def test_inv_mod():
 def test_reduce_by_rref_membership():
     basis = np.array([[1, 4]], dtype=np.int64)
     red, pivots = rref_mod(basis, 5)
-    assert not reduce_by_rref([2, 3], red, pivots, 5).any()  # 2*(1,4) = (2,3)
-    assert reduce_by_rref([1, 1], red, pivots, 5).any()
+    assert not any(reduce_by_rref([2, 3], red, pivots, 5))  # 2*(1,4) = (2,3)
+    assert any(reduce_by_rref([1, 1], red, pivots, 5))
+
+
+class TestBeyondInt64:
+    """Entries and moduli past 2^63 stay exact."""
+
+    @staticmethod
+    def product(a, b, p=None):
+        # plain Python ints, independent of the library's own product
+        a = [[int(x) for x in row] for row in a]
+        b = [[int(x) for x in row] for row in b]
+        prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        return prod if p is None else [[x % p for x in row] for row in prod]
+
+    def test_inv_mod_large_prime(self):
+        p = 10 ** 10 + 19
+        m = [[3, p - 1], [p - 2, 5]]
+        assert self.product(m, inv_mod(m, p), p) == [[1, 0], [0, 1]]
+
+    def test_int_det_past_int64(self):
+        assert int_det([[2 ** 63]]) == 2 ** 63
+
+    def test_unimodular_inverse_near_2_70(self):
+        u = [[2 ** 70 + 1, 2 ** 70], [2 ** 70, 2 ** 70 - 1]]
+        assert int_det(u) == -1
+        inv = int_inverse_unimodular(u)
+        assert self.product(u, inv) == [[1, 0], [0, 1]]
+        assert self.product(inv, u) == [[1, 0], [0, 1]]
 
 
 class TestHnf:
     def test_known_lattices(self):
-        assert hnf_rows([[3, 0], [0, 3], [1, 1]]).tolist() == [[1, 1], [0, 3]]
-        assert hnf_rows([[5, 0], [0, 5], [1, -1]]).tolist() == [[1, 4], [0, 5]]
-        assert hnf_rows([[2, 0], [0, 2]]).tolist() == [[2, 0], [0, 2]]
+        assert hnf_rows([[3, 0], [0, 3], [1, 1]]) == ((1, 1), (0, 3))
+        assert hnf_rows([[5, 0], [0, 5], [1, -1]]) == ((1, 4), (0, 5))
+        assert hnf_rows([[2, 0], [0, 2]]) == ((2, 0), (0, 2))
 
     def test_drops_dependent_rows(self):
-        assert hnf_rows([[2, 4], [1, 2]]).tolist() == [[1, 2]]
-        assert hnf_rows([[0, 0], [0, 0]]).shape == (0, 2)
+        assert hnf_rows([[2, 4], [1, 2]]) == ((1, 2),)
+        assert hnf_rows([[0, 0], [0, 0]]) == ()
 
     def test_canonical_under_row_mixing(self):
         rng = np.random.default_rng(7)
@@ -83,7 +110,7 @@ class TestHnf:
 
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), min_size=1, max_size=4))
     def test_hnf_shape_invariants(self, rows):
-        h = hnf_rows(rows)
+        h = np.array(hnf_rows(rows))
         # echelon with positive pivots, entries above each pivot reduced
         last_pivot = -1
         for r in range(h.shape[0]):

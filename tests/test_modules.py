@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maxgrowth.core import hk_action_matrices, make_gk, primes_up_to
 from maxgrowth.linalg import int_det
@@ -55,9 +57,9 @@ class TestModuleAction:
 
     def test_reduce_mod_p(self):
         act = hk_action(3)
-        assert reduce_mod_p(act, 5).matrices[1].tolist() == [[0, 1], [4, 3]]
-        assert reduce_mod_p(act, 2).matrices[0].tolist() == [[0, 1], [1, 0]]
-        assert reduce_mod_p(hk_action(2), 2).matrices[1].tolist() == [[0, 1], [1, 0]]
+        assert reduce_mod_p(act, 5).matrices[1] == ((0, 1), (4, 3))
+        assert reduce_mod_p(act, 2).matrices[0] == ((0, 1), (1, 0))
+        assert reduce_mod_p(hk_action(2), 2).matrices[1] == ((0, 1), (1, 0))
         with pytest.raises(ValueError):
             reduce_mod_p(act, 6)
         with pytest.raises(ValueError):
@@ -116,6 +118,32 @@ class TestInvariantSubspaces:
         with pytest.raises(ValueError):
             invariant_subspaces(big, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 31]),
+        st.lists(st.tuples(*[st.integers(-40, 40)] * 4), min_size=1, max_size=3),
+    )
+    def test_rank2_lines_match_cross_product(self, p, entries):
+        # any invertible actions, not only H_k: v spans an invariant line
+        # exactly when v and M v are parallel for every M
+        mats = [((a, b), (c, d)) for a, b, c, d in entries]
+        assume(all((a * d - b * c) % p for (a, b), (c, d) in mats))
+        want = []
+        for v in [(0, 1)] + [(1, t) for t in range(p)]:
+            images = [(a * v[0] + b * v[1], c * v[0] + d * v[1]) for (a, b), (c, d) in mats]
+            if all((v[0] * w[1] - v[1] * w[0]) % p == 0 for w in images):
+                want.append((v,))
+        got = invariant_subspaces(ModuleAction(2, p, tuple(mats)), 1)
+        assert [s.subspace_basis for s in got] == sorted(want)
+
+    def test_zero_subspace_needs_no_bound(self):
+        # codim == rank lists only the zero subspace, at any prime
+        for r, p in [(1, 1000003), (1, 10 ** 10 + 19), (2, 1009)]:
+            act = ModuleAction(r, p, (np.eye(r, dtype=np.int64),))
+            (sub,) = invariant_subspaces(act, r)
+            assert sub.subspace_basis == ()
+            assert sub.index == p ** r
+
     def test_rank3_invariant_flag(self):
         # block upper-triangular action fixing e1 and the plane <e1, e2>
         m = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
@@ -134,7 +162,7 @@ class TestSubmoduleData:
                 for sub in invariant_subspaces(red, codim):
                     assert sub.index == p ** codim
                     assert abs(int_det(sub.lattice_basis)) == sub.index
-                    basis = sub.lattice_basis.tolist()
+                    basis = sub.lattice_basis
                     for i in range(2):
                         unit = [0, 0]
                         unit[i] = p
@@ -142,27 +170,27 @@ class TestSubmoduleData:
 
     def test_known_lattice_bases(self):
         m3 = invariant_subspaces(reduce_mod_p(hk_action(5), 3), 1)
-        assert [s.lattice_basis.tolist() for s in m3] == [[[1, 1], [0, 3]]]
+        assert [s.lattice_basis for s in m3] == [((1, 1), (0, 3))]
         m5u = invariant_subspaces(reduce_mod_p(hk_action(3), 5), 1)
-        assert [s.lattice_basis.tolist() for s in m5u] == [[[1, 4], [0, 5]]]
+        assert [s.lattice_basis for s in m5u] == [((1, 4), (0, 5))]
 
 
 class TestMaximalSubmodules:
     def test_rank1_prime_indices_only(self):
         act = minus_one_action(3)
         subs = maximal_submodules(act, 5)
-        assert [(s.index, s.lattice_basis.tolist()) for s in subs] == [(5, [[5]])]
+        assert [(s.index, s.lattice_basis) for s in subs] == [(5, ((5,),))]
         assert maximal_submodules(act, 10) == []
         assert maximal_submodules(act, 25) == []  # exponent above the rank
 
     def test_rank2_corollary_examples(self):
         assert maximal_submodules(hk_action(2), 49) == []  # 7 | k - 2 = 0
         subs = maximal_submodules(hk_action(3), 9)  # 3 coprime to 1*5
-        assert [s.lattice_basis.tolist() for s in subs] == [[[3, 0], [0, 3]]]
+        assert [s.lattice_basis for s in subs] == [((3, 0), (0, 3))]
         subs = maximal_submodules(hk_action(1), 49)  # 7 coprime to (-1)*3
-        assert [s.lattice_basis.tolist() for s in subs] == [[[7, 0], [0, 7]]]
+        assert [s.lattice_basis for s in subs] == [((7, 0), (0, 7))]
         subs = maximal_submodules(hk_action(0), 2)  # coincidence M_2 = M_{2,-1}
-        assert [s.lattice_basis.tolist() for s in subs] == [[[1, 1], [0, 2]]]
+        assert [s.lattice_basis for s in subs] == [((1, 1), (0, 2))]
 
     def test_corollary_table(self):
         # counts 1 / 1 / 0 across p <= 31, |k| <= 10
@@ -194,20 +222,20 @@ class TestQuotientAction:
         red = reduce_mod_p(hk_action(2), 3)
         sub = invariant_subspaces(red, 1)[0]
         q = quotient_action(red, sub)
-        assert [m.tolist() for m in q.matrices] == [[[2]], [[1]]]
+        assert q.matrices == (((2,),), ((1,),))
 
     def test_quotient_by_mp_minus_one_line(self):
         # on Z^2/M_{p,-1} (p | k+2, p odd) the swap acts by +1 and B_k by -1
         red = reduce_mod_p(hk_action(3), 5)
         sub = invariant_subspaces(red, 1)[0]
         q = quotient_action(red, sub)
-        assert [m.tolist() for m in q.matrices] == [[[1]], [[4]]]
+        assert q.matrices == (((1,),), ((4,),))
 
     def test_quotient_by_zero_subspace_is_identity_quotient(self):
         red = reduce_mod_p(hk_action(1), 5)
         sub = invariant_subspaces(red, 2)[0]
         q = quotient_action(red, sub)
-        assert all(np.array_equal(a, b) for a, b in zip(q.matrices, red.matrices))
+        assert q.matrices == red.matrices
 
     def test_rejects_non_invariant_subspace(self):
         red = reduce_mod_p(hk_action(1), 5)
@@ -272,7 +300,7 @@ def assert_modp2_oracle_matches(p, k):
     containment, and match them (as element sets) at index p and p^2.  This
     checks the Frattini reduction rather than assuming it."""
     p2 = p * p
-    mats = [m % p2 for m in hk_action_matrices(k)]
+    mats = [np.array(m) % p2 for m in hk_action_matrices(k)]
     whole = p2 * p2
 
     invariant = []
@@ -309,7 +337,7 @@ def assert_modp2_oracle_matches(p, k):
                 for i in range(p2)
                 for j in range(p2)
             )
-            for r1, r2 in (tuple(map(tuple, sub.lattice_basis.tolist())) for sub in got)
+            for r1, r2 in (sub.lattice_basis for sub in got)
         )
         assert got_sets == want, (p, k, n)
 

@@ -59,6 +59,16 @@ class TestRecursiveGk:
             for n in range(2, 501):
                 assert recursive_gk(k, n) == max_count_gk(k, n).count, (k, n)
 
+    @pytest.mark.parametrize("p", [1000003, 10 ** 10 + 19])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_primes_beyond_enumeration_bound(self, k, p):
+        # rank 1 has a single codimension-1 subspace, so nothing is enumerated
+        assert recursive_gk(k, p) == max_count_gk(k, p).count
+
+    def test_large_prime_values(self):
+        assert recursive_gk(3, 1000003) == 2000007
+        assert recursive_gk(3, 10 ** 10 + 19) == 20000000039
+
 
 class TestRecursiveHk:
     @pytest.mark.parametrize(
