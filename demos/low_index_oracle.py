@@ -14,7 +14,6 @@ from maxgrowth import (
     make_gk,
     make_hk,
     max_count_hk,
-    subgroup_records,
 )
 
 pres, mat_a, mat_b = make_hk(2)
@@ -23,8 +22,8 @@ for rel in pres.relators:
     print("   relator", rel)
 
 print("\nindex-2 subgroups of H_2 (one canonical coset table each):")
-for rec in subgroup_records(pres, 2):
-    print(f"   {rec.table.entries}  maximal={rec.is_maximal}")
+for table in low_index_subgroups(pres, 2):
+    print(f"   {table.entries}  maximal={is_primitive(table)}")
 
 print("\na_n vs m_n for H_2:")
 print(f"{'n':>3} {'subgroups':>10} {'maximal':>8} {'closed form':>12}")

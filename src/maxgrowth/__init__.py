@@ -18,7 +18,6 @@ from .core import (
     GroupSpec,
     IndexClass,
     PrimeSet,
-    check_semidirect_compatibility,
     classify_index,
     hk_action_matrices,
     is_prime,
@@ -47,15 +46,13 @@ from .formulas import (
 from .lowindex import (
     CosetTable,
     SearchBudgetExceeded,
-    SubgroupRecord,
     has_nontrivial_block_system,
     is_primitive,
     low_index_subgroups,
     oracle_max_count,
-    oracle_subgroup_count,
-    subgroup_records,
 )
 from .modules import (
+    EnumerationBoundExceeded,
     ModuleAction,
     Submodule,
     SubmoduleClassification,
@@ -81,6 +78,7 @@ __all__ = [
     "CocycleSystem",
     "CosetTable",
     "DerivationSpace",
+    "EnumerationBoundExceeded",
     "GroupPresentation",
     "GroupSpec",
     "GrowthValue",
@@ -90,12 +88,10 @@ __all__ = [
     "PrimeSet",
     "SearchBudgetExceeded",
     "SplitExtension",
-    "SubgroupRecord",
     "Submodule",
     "SubmoduleClassification",
     "brute_force_count",
     "build_system",
-    "check_semidirect_compatibility",
     "classify_index",
     "classify_rank2_submodules",
     "count_derivations",
@@ -115,13 +111,11 @@ __all__ = [
     "mdeg",
     "noniso_certificate",
     "oracle_max_count",
-    "oracle_subgroup_count",
     "primes_dividing",
     "primes_up_to",
     "quotient_action",
     "recursive_gk",
     "recursive_hk",
     "reduce_mod_p",
-    "subgroup_records",
     "word_derivation_row",
 ]

@@ -3,7 +3,11 @@ non-isomorphism certificates and growth degrees.
 
 Tables and verdicts go to stdout; diagnostics go to stderr.  Exit status
 is 0 when every computed route agrees, 1 on any inter-method
-disagreement, 2 on usage errors.  The environment variable
+disagreement, 2 on usage errors, and 3 when an internal enumeration bound
+stops the run early (the recursion's line scan of F_p^2 stops at
+p^2 > 10^6): ``verify`` still prints its summary line for the cells it
+printed, ``table`` writes the rows of every n below the one that hit
+the bound, and the error goes to stderr.  The environment variable
 MAXGROWTH_NODE_BUDGET overrides the node budget of the enumeration
 oracle; a cell whose search exceeds the budget is skipped rather than
 failing the run: ``verify`` reports it as SKIPPED, and ``table`` leaves
@@ -21,11 +25,13 @@ from dataclasses import asdict, dataclass
 
 from .core import GroupPresentation, GroupSpec, hk_action_matrices, make_gk, make_hk
 from .formulas import max_count_gk, max_count_hk, mdeg, noniso_certificate
-from .lowindex import DEFAULT_INDEX_BOUND, SearchBudgetExceeded, oracle_max_count
+from .lowindex import SearchBudgetExceeded, oracle_max_count
+from .modules import EnumerationBoundExceeded
 from .recursion import recursive_gk, recursive_hk
 
 METHODS = ("formula", "recursion", "oracle")
 USAGE_ERROR = 2
+LIMIT_REACHED = 3
 
 
 @dataclass(frozen=True)
@@ -103,33 +109,35 @@ def cmd_table(args, out=None, err=None) -> int:
             methods.append(name)
     budget = _node_budget()
     pres = _presentation(args.family, args.k) if "oracle" in methods else None
-    index_bound = max(DEFAULT_INDEX_BOUND, args.nmax)
     rows = []
     disagree = False
-    for n in range(2, args.nmax + 1):
-        growth = _formula(args.family, args.k, n)
-        counts = {}
-        for method in methods:
-            if method == "formula":
-                counts[method] = growth.count
-            elif method == "recursion":
-                counts[method] = _recursion(args.family, args.k, n)
-            else:
-                try:
-                    counts[method] = oracle_max_count(
-                        pres, n, node_budget=budget, index_bound=index_bound
-                    )
-                except SearchBudgetExceeded as exc:
-                    print(f"n={n} oracle=SKIPPED: {exc}", file=err)
-        if len(set(counts.values())) > 1:
-            disagree = True
-        for method, count in counts.items():
-            rows.append(TableRow(n=n, count=count, case=growth.case_tag, method=method))
+    limit = None
+    try:
+        for n in range(2, args.nmax + 1):
+            growth = _formula(args.family, args.k, n)
+            counts = {}
+            for method in methods:
+                if method == "formula":
+                    counts[method] = growth.count
+                elif method == "recursion":
+                    counts[method] = _recursion(args.family, args.k, n)
+                else:
+                    try:
+                        counts[method] = oracle_max_count(pres, n, node_budget=budget)
+                    except SearchBudgetExceeded as exc:
+                        print(f"n={n} oracle=SKIPPED: {exc}", file=err)
+            if len(set(counts.values())) > 1:
+                disagree = True
+            for method, count in counts.items():
+                rows.append(TableRow(n=n, count=count, case=growth.case_tag, method=method))
+    except EnumerationBoundExceeded as exc:
+        limit = exc  # keep the rows of every n below the one that hit the bound
     _emit_rows(rows, args.format, out)
     if disagree:
         print("inter-method disagreement detected", file=err)
-        return 1
-    return 0
+    if limit is not None:
+        raise limit
+    return 1 if disagree else 0
 
 
 def cmd_verify(args, out=None, err=None) -> int:
@@ -144,40 +152,43 @@ def cmd_verify(args, out=None, err=None) -> int:
     if args.nmax < 2:
         raise ValueError(f"--nmax must be >= 2, got {args.nmax}")
     budget = _node_budget()
-    index_bound = max(DEFAULT_INDEX_BOUND, args.oracle_nmax)
     cells = passes = fails = skips = 0
-    for k in range(k_lo, k_hi + 1):
-        pres = _presentation(args.family, k) if args.oracle_nmax >= 2 else None
-        for n in range(2, args.nmax + 1):
-            cells += 1
-            formula_count = _formula(args.family, k, n).count
-            recursion_count = _recursion(args.family, k, n)
-            values = {formula_count, recursion_count}
-            oracle_text = ""
-            if 2 <= n <= args.oracle_nmax:
-                try:
-                    oracle_count = oracle_max_count(
-                        pres, n, node_budget=budget, index_bound=index_bound
-                    )
-                    values.add(oracle_count)
-                    oracle_text = f" oracle={oracle_count}"
-                except SearchBudgetExceeded:
-                    skips += 1
-                    oracle_text = " oracle=SKIPPED"
-            verdict = "PASS" if len(values) == 1 else "FAIL"
-            if verdict == "PASS":
-                passes += 1
-            else:
-                fails += 1
-            print(
-                f"k={k} n={n} formula={formula_count} "
-                f"recursion={recursion_count}{oracle_text} {verdict}",
-                file=out,
-            )
+    limit = None
+    try:
+        for k in range(k_lo, k_hi + 1):
+            pres = _presentation(args.family, k) if args.oracle_nmax >= 2 else None
+            for n in range(2, args.nmax + 1):
+                formula_count = _formula(args.family, k, n).count
+                recursion_count = _recursion(args.family, k, n)
+                values = {formula_count, recursion_count}
+                oracle_text = ""
+                if 2 <= n <= args.oracle_nmax:
+                    try:
+                        oracle_count = oracle_max_count(pres, n, node_budget=budget)
+                        values.add(oracle_count)
+                        oracle_text = f" oracle={oracle_count}"
+                    except SearchBudgetExceeded:
+                        skips += 1
+                        oracle_text = " oracle=SKIPPED"
+                verdict = "PASS" if len(values) == 1 else "FAIL"
+                cells += 1
+                if verdict == "PASS":
+                    passes += 1
+                else:
+                    fails += 1
+                print(
+                    f"k={k} n={n} formula={formula_count} "
+                    f"recursion={recursion_count}{oracle_text} {verdict}",
+                    file=out,
+                )
+    except EnumerationBoundExceeded as exc:
+        limit = exc  # the summary still counts every cell printed so far
     print(
         f"summary: cells={cells} pass={passes} fail={fails} oracle_skipped={skips}",
         file=out,
     )
+    if limit is not None:
+        raise limit
     return 0 if fails == 0 else 1
 
 
@@ -289,6 +300,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_glue_negative_k(list(argv)))
     try:
         return args.run(args)
+    except EnumerationBoundExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return LIMIT_REACHED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, as_int_matrix, identity, int_det, int_inverse_unimodular, mat_mul
+from .linalg import Matrix
 
 Word = tuple[int, ...]
 
@@ -292,13 +292,3 @@ def make_hk(k: int) -> tuple[GroupPresentation, Matrix, Matrix]:
     pres = GroupPresentation(("t1", "t2", "b", "a"), rels)
     return pres, mat_a, mat_b
 
-
-def check_semidirect_compatibility(a_mat, b_mat) -> bool:
-    """Whether A B A^-1 B = I, the condition for a and b to act on Z^2
-    compatibly with the G_2 relator a b a^-1 b."""
-    a, b = as_int_matrix(a_mat), as_int_matrix(b_mat)
-    for m in (a, b):
-        if int_det(m) not in (1, -1):
-            raise ValueError("action matrices must be unimodular")
-    prod = mat_mul(mat_mul(mat_mul(a, b), int_inverse_unimodular(a)), b)
-    return prod == identity(len(a))

@@ -106,18 +106,15 @@ def count_derivations(presentation: GroupPresentation, action: ModuleAction) -> 
     return DerivationSpace(p=system.p, dimension=free)
 
 
-def brute_force_count(
-    presentation: GroupPresentation,
-    action: ModuleAction,
-    bound: int = BRUTE_FORCE_BOUND,
-) -> int:
+def brute_force_count(presentation: GroupPresentation, action: ModuleAction) -> int:
     """Independent oracle: enumerate every map {generators} -> S and keep
-    those whose relator functionals all vanish."""
+    those whose relator functionals all vanish; at most BRUTE_FORCE_BOUND
+    of them."""
     system = build_system(presentation, action)
     p, d, m = system.p, system.dim, system.num_generators
     total = p ** (d * m)
-    if total > bound:
-        raise ValueError(f"enumeration bound exceeded: |S|^m = {total} > {bound}")
+    if total > BRUTE_FORCE_BOUND:
+        raise ValueError(f"enumeration bound exceeded: |S|^m = {total} > {BRUTE_FORCE_BOUND}")
     if not system.rows:
         return total  # no relators: every assignment extends to a derivation
     grids = np.meshgrid(*([np.arange(p, dtype=np.int64)] * (d * m)), indexing="ij")

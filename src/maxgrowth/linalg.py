@@ -1,4 +1,4 @@
-"""Small exact linear algebra: integer matrices, mod-p elimination, HNF.
+"""Small exact linear algebra: integer matrices and mod-p elimination.
 
 A matrix is a tuple of row tuples of Python ints: immutable, so results
 can be shared and memoized, and exact at any size of entry or modulus.
@@ -6,8 +6,8 @@ Inputs may be any nested sequence of ints, arrays included.
 
 Everything here works on tiny dense matrices (rank <= 3 in practice, plus
 cocycle systems with a few dozen rows), so the implementations favour
-exactness and determinism over asymptotics: cofactor determinants, plain
-Gaussian elimination with first-nonzero pivoting, and a gcd-free row HNF.
+exactness and determinism over asymptotics: cofactor determinants and
+plain Gaussian elimination with first-nonzero pivoting.
 """
 
 from __future__ import annotations
@@ -123,44 +123,3 @@ def reduce_by_rref(vec, rref, pivots: list[int], p: int) -> tuple[int, ...]:
 def in_row_span_mod(vec, rref, pivots: list[int], p: int) -> bool:
     return not any(reduce_by_rref(vec, rref, pivots, p))
 
-
-def hnf_rows(rows) -> Matrix:
-    """Row Hermite normal form of the lattice generated by integer rows.
-
-    The result is in echelon form with positive pivots and the entries
-    above each pivot reduced to 0 <= entry < pivot; zero rows are dropped.
-    HNF is a canonical form, so two generating sets span the same lattice
-    exactly when their HNFs are equal.
-    """
-    mat = [list(map(int, row)) for row in rows]
-    nrows = len(mat)
-    top = 0
-    for col in range(len(mat[0]) if mat else 0):
-        if top == nrows:
-            break
-        # gcd-style elimination: make mat[top][col] the only nonzero at or
-        # below row `top` in this column
-        while True:
-            nonzero = [i for i in range(top, nrows) if mat[i][col]]
-            if not nonzero:
-                break
-            sel = min(nonzero, key=lambda i: abs(mat[i][col]))
-            mat[top], mat[sel] = mat[sel], mat[top]
-            done = True
-            for i in range(top + 1, nrows):
-                if mat[i][col]:
-                    q = mat[i][col] // mat[top][col]
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
-                    if mat[i][col]:
-                        done = False
-            if done:
-                break
-        if mat[top][col]:
-            if mat[top][col] < 0:
-                mat[top] = [-x for x in mat[top]]
-            for i in range(top):
-                q = mat[i][col] // mat[top][col]
-                if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
-            top += 1
-    return tuple(map(tuple, mat[:top]))

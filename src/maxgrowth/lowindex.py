@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .core import GroupPresentation, is_prime
 
 DEFAULT_NODE_BUDGET = 10 ** 8
-DEFAULT_INDEX_BOUND = 12
 MAX_GENERATORS = 6
 
 
@@ -57,13 +56,6 @@ class CosetTable:
         return tuple(row[2 * g] for row in self.entries)
 
 
-@dataclass(frozen=True)
-class SubgroupRecord:
-    table: CosetTable
-    is_maximal: bool
-    index: int
-
-
 def _relator_columns(word) -> tuple[int, ...]:
     return tuple(2 * (l - 1) if l > 0 else 2 * (-l - 1) + 1 for l in word)
 
@@ -73,15 +65,15 @@ def low_index_subgroups(
     n: int,
     *,
     node_budget: int | None = None,
-    index_bound: int = DEFAULT_INDEX_BOUND,
 ) -> list[CosetTable]:
     """All index-n subgroups of the presented group, as canonical tables,
-    in deterministic (depth-first) order."""
+    in deterministic (depth-first) order.  Any n >= 2 is accepted; the node
+    budget is what bounds the search."""
     m = pres.num_generators
     if m > MAX_GENERATORS:
         raise ValueError(f"at most {MAX_GENERATORS} generators supported, got {m}")
-    if not 2 <= n <= index_bound:
-        raise ValueError(f"index {n} outside the configured range 2..{index_bound}")
+    if n < 2:
+        raise ValueError(f"index must be >= 2, got {n}")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
 
     width = 2 * m
@@ -96,7 +88,7 @@ def low_index_subgroups(
             rotations[rot[0]].append(rot)
     rotations = [sorted(set(bucket)) for bucket in rotations]
 
-    table = [-1] * (n * width)
+    table = [-1] * width  # grows one row per new coset, so memory follows the search, not n
     trail: list[int] = []
     pending: deque[tuple[int, int]] = deque()
     results: list[CosetTable] = []
@@ -178,6 +170,8 @@ def low_index_subgroups(
             saved_nc = nc
             if b == nc:
                 nc += 1
+                if len(table) < nc * width:
+                    table.extend([-1] * width)
             fill(a, c, b)
             if propagate():
                 dfs(pos)
@@ -232,37 +226,7 @@ def is_primitive(table: CosetTable) -> bool:
     return not has_nontrivial_block_system(table)
 
 
-def subgroup_records(
-    pres: GroupPresentation,
-    n: int,
-    *,
-    node_budget: int | None = None,
-    index_bound: int = DEFAULT_INDEX_BOUND,
-) -> list[SubgroupRecord]:
-    tables = low_index_subgroups(pres, n, node_budget=node_budget, index_bound=index_bound)
-    return [
-        SubgroupRecord(table=t, is_maximal=is_primitive(t), index=n) for t in tables
-    ]
-
-
-def oracle_max_count(
-    pres: GroupPresentation,
-    n: int,
-    *,
-    node_budget: int | None = None,
-    index_bound: int = DEFAULT_INDEX_BOUND,
-) -> int:
+def oracle_max_count(pres: GroupPresentation, n: int, *, node_budget: int | None = None) -> int:
     """Number of maximal subgroups of index n, by exhaustive enumeration."""
-    records = subgroup_records(pres, n, node_budget=node_budget, index_bound=index_bound)
-    return sum(1 for rec in records if rec.is_maximal)
-
-
-def oracle_subgroup_count(
-    pres: GroupPresentation,
-    n: int,
-    *,
-    node_budget: int | None = None,
-    index_bound: int = DEFAULT_INDEX_BOUND,
-) -> int:
-    """Total number of index-n subgroups (>= the maximal count)."""
-    return len(low_index_subgroups(pres, n, node_budget=node_budget, index_bound=index_bound))
+    tables = low_index_subgroups(pres, n, node_budget=node_budget)
+    return sum(1 for t in tables if is_primitive(t))

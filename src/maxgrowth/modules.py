@@ -5,8 +5,10 @@ prime power index p^c and contains pZ^r, so the classification lives in
 F_p^r: submodules of index p^c correspond to invariant subspaces of
 codimension c, and such a submodule is maximal exactly when the induced
 action on the c-dimensional quotient space is simple.  Submodules carry
-the Hermite normal form basis of their preimage lattice, which makes
-equality, ordering and deduplication exact.
+the Hermite normal form basis of their preimage lattice, written down
+from the RREF basis of the subspace: the RREF row at each pivot column
+and p e_j at every other column j.  That matrix is already in HNF, which
+makes equality, ordering and deduplication exact.
 
 Matrices are tuples of row tuples of Python ints, as in :mod:`.linalg`.
 Invariant subspaces are found by brute force over normalized (reduced row
@@ -27,18 +29,20 @@ from .core import GroupPresentation, classify_index, hk_action_matrices, is_prim
 from .linalg import (
     Matrix,
     as_int_matrix,
-    hnf_rows,
     identity,
     in_row_span_mod,
     int_det,
     int_inverse_unimodular,
     inv_mod,
     mat_mul,
-    rank_mod,
     reduce_by_rref,
 )
 
 ENUMERATION_BOUND = 10 ** 6
+
+
+class EnumerationBoundExceeded(ValueError):
+    """An exhaustive enumeration would exceed its fixed size bound."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +51,8 @@ class ModuleAction:
 
     ``p is None`` means the integral, not yet reduced module; matrices are
     then required to be unimodular, so they stay invertible mod every p.
+    One determinant per matrix decides invertibility: det = +-1 over Z,
+    det != 0 mod p over F_p.
     """
 
     rank: int
@@ -66,7 +72,7 @@ class ModuleAction:
                     raise ValueError("integral action matrices must be unimodular")
             else:
                 mat = tuple(tuple(x % self.p for x in row) for row in mat)
-                if rank_mod(mat, self.p) != self.rank:
+                if int_det(mat) % self.p == 0:
                     raise ValueError(f"action matrix singular mod {self.p}")
             mats.append(mat)
         object.__setattr__(self, "matrices", tuple(mats))
@@ -141,13 +147,18 @@ class Submodule:
 
 
 def _submodule_from_subspace(action: ModuleAction, basis) -> Submodule:
+    """The preimage lattice of an RREF basis, in HNF: the basis row at each
+    pivot column, p e_j at every other column j."""
     p, r = action.p, action.rank
-    rows = [[p if i == j else 0 for j in range(r)] for i in range(r)]
-    rows.extend(basis)
+    by_pivot = dict(zip(_pivots(basis), basis))
+    lattice = tuple(
+        by_pivot[j] if j in by_pivot else tuple(p if i == j else 0 for i in range(r))
+        for j in range(r)
+    )
     return Submodule(
         ambient=action,
         subspace_basis=basis,
-        lattice_basis=hnf_rows(rows),
+        lattice_basis=lattice,
         index=p ** (r - len(basis)),
     )
 
@@ -206,7 +217,7 @@ def invariant_subspaces(action: ModuleAction, codim: int) -> list[Submodule]:
     if codim == r:
         return [_submodule_from_subspace(action, ())]  # only the zero subspace
     if p ** r > ENUMERATION_BOUND:
-        raise ValueError(f"enumeration bound exceeded: {p}^{r} > {ENUMERATION_BOUND}")
+        raise EnumerationBoundExceeded(f"enumeration bound exceeded: {p}^{r} > {ENUMERATION_BOUND}")
     if r == 2:
         found = _invariant_lines_rank2(action)
     else:

@@ -122,6 +122,16 @@ class TestTable:
         assert out.splitlines()[2] == "3,7,p_divides_k_plus_2,formula"
 
 
+    def test_enumeration_bound_exits_3(self, capsys):
+        # rows for every n below the prime that hits the bound, then the error
+        code, out, err = run(["table", "--family", "hk", "--k", "1", "--nmax", "1010"], capsys)
+        assert code == 3
+        lines = out.splitlines()
+        assert len(lines) == 1 + 2 * 1007
+        assert lines[-2:] == ["1008,0,otherwise,formula", "1008,0,otherwise,recursion"]
+        assert err == "error: enumeration bound exceeded: 1009^2 > 1000000\n"
+
+
 class TestVerify:
     def test_three_way_pass(self, capsys):
         code, out, _ = run(
@@ -199,6 +209,15 @@ class TestVerify:
             ["verify", "--family", "gk", "--k", "5..2", "--nmax", "4"], capsys
         )
         assert code == 2
+
+    def test_enumeration_bound_exits_3(self, capsys):
+        # the H_k line scan stops at p = 1009; the cells before it still count
+        code, out, err = run(["verify", "--family", "hk", "--k", "1", "--nmax", "1010"], capsys)
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[-2] == "k=1 n=1008 formula=0 recursion=0 PASS"
+        assert lines[-1] == "summary: cells=1007 pass=1007 fail=0 oracle_skipped=0"
+        assert err == "error: enumeration bound exceeded: 1009^2 > 1000000\n"
 
     def test_k_beyond_int64_rejected(self, capsys):
         # one good end is not enough: no line may be printed before the error

@@ -9,7 +9,6 @@ from maxgrowth.core import (
     GroupPresentation,
     GroupSpec,
     PrimeSet,
-    check_semidirect_compatibility,
     classify_index,
     hk_action_matrices,
     is_prime,
@@ -20,6 +19,11 @@ from maxgrowth.core import (
     primes_up_to,
 )
 from maxgrowth.linalg import int_det
+from maxgrowth.modules import ModuleAction
+
+
+def satisfies_g2_relator(a, b):
+    return ModuleAction(2, None, (a, b)).satisfies(make_gk(2))
 
 
 def trial_classification(n):
@@ -178,7 +182,7 @@ class TestMakeHk:
         for k in range(-20, 21):
             a, b = hk_action_matrices(k)
             assert int_det(b) == 1
-            assert check_semidirect_compatibility(a, b)
+            assert satisfies_g2_relator(a, b)
 
     def test_k_beyond_int64_rejected(self):
         for k in (2 ** 63, -(2 ** 63), 10 ** 19):
@@ -196,18 +200,21 @@ class TestMakeHk:
 
 
 class TestCompatibility:
+    """A and B act on Z^2 compatibly with G_2 exactly when the integral
+    action satisfies the relator a b a^-1 b."""
+
     def test_identity_pair(self):
         eye = np.eye(2, dtype=np.int64)
         a, _ = hk_action_matrices(0)
-        assert check_semidirect_compatibility(a, eye)  # A I A^-1 I = I
+        assert satisfies_g2_relator(a, eye)  # A I A^-1 I = I
 
     def test_shear_fails(self):
         eye = np.eye(2, dtype=np.int64)
-        assert not check_semidirect_compatibility(eye, [[1, 1], [0, 1]])
+        assert not satisfies_g2_relator(eye, [[1, 1], [0, 1]])
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
-            check_semidirect_compatibility([[2, 0], [0, 1]], np.eye(2, dtype=np.int64))
+            satisfies_g2_relator([[2, 0], [0, 1]], np.eye(2, dtype=np.int64))
 
 
 class TestPresentationValidation:

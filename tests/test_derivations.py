@@ -156,7 +156,7 @@ class TestBruteForce:
 
     def test_bound(self):
         with pytest.raises(ValueError):
-            brute_force_count(make_gk(8), minus_one_action(8, 7), bound=10 ** 6)
+            brute_force_count(make_gk(8), minus_one_action(8, 7))
 
     def test_agrees_with_rank_computation_rank1(self):
         for k in range(1, 4):

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from maxgrowth.linalg import (
-    hnf_rows,
     int_det,
     int_inverse_unimodular,
     inv_mod,
@@ -85,40 +82,3 @@ class TestBeyondInt64:
         assert self.product(u, inv) == [[1, 0], [0, 1]]
         assert self.product(inv, u) == [[1, 0], [0, 1]]
 
-
-class TestHnf:
-    def test_known_lattices(self):
-        assert hnf_rows([[3, 0], [0, 3], [1, 1]]) == ((1, 1), (0, 3))
-        assert hnf_rows([[5, 0], [0, 5], [1, -1]]) == ((1, 4), (0, 5))
-        assert hnf_rows([[2, 0], [0, 2]]) == ((2, 0), (0, 2))
-
-    def test_drops_dependent_rows(self):
-        assert hnf_rows([[2, 4], [1, 2]]) == ((1, 2),)
-        assert hnf_rows([[0, 0], [0, 0]]) == ()
-
-    def test_canonical_under_row_mixing(self):
-        rng = np.random.default_rng(7)
-        base = np.array([[2, 1, 0], [0, 3, 1], [0, 0, 4]], dtype=np.int64)
-        h = hnf_rows(base)
-        for _ in range(25):
-            u = np.eye(3, dtype=np.int64)
-            for _ in range(6):
-                i, j = rng.integers(0, 3, size=2)
-                if i != j:
-                    u[i] += int(rng.integers(-3, 4)) * u[j]
-            assert np.array_equal(hnf_rows(u @ base), h)
-
-    @given(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), min_size=1, max_size=4))
-    def test_hnf_shape_invariants(self, rows):
-        h = np.array(hnf_rows(rows))
-        # echelon with positive pivots, entries above each pivot reduced
-        last_pivot = -1
-        for r in range(h.shape[0]):
-            nz = np.flatnonzero(h[r])
-            assert nz.size > 0
-            pivot = int(nz[0])
-            assert pivot > last_pivot
-            last_pivot = pivot
-            assert h[r, pivot] > 0
-            for above in range(r):
-                assert 0 <= h[above, pivot] < h[r, pivot]

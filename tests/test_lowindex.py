@@ -9,8 +9,6 @@ from maxgrowth.lowindex import (
     is_primitive,
     low_index_subgroups,
     oracle_max_count,
-    oracle_subgroup_count,
-    subgroup_records,
 )
 
 
@@ -86,27 +84,25 @@ class TestCounts:
     def test_z_has_one_subgroup_per_index(self):
         z = make_gk(1)
         for n in range(2, 13):
-            assert oracle_subgroup_count(z, n) == 1
+            assert len(low_index_subgroups(z, n)) == 1
 
     def test_g2_small_counts(self):
         g2 = make_gk(2)
-        assert oracle_subgroup_count(g2, 2) == 3  # index-2 subgroups live in Z x Z/2
+        assert len(low_index_subgroups(g2, 2)) == 3  # index-2 subgroups live in Z x Z/2
         tables = low_index_subgroups(g2, 3)
         assert len(tables) == 4
         assert sum(1 for t in tables if is_primitive(t)) == 4
-        assert oracle_subgroup_count(g2, 4) >= 1
+        assert len(low_index_subgroups(g2, 4)) >= 1
         assert oracle_max_count(g2, 4) == 0
 
     def test_records(self):
-        g2 = make_gk(2)
-        recs = subgroup_records(g2, 4)
-        assert all(rec.index == 4 and not rec.is_maximal for rec in recs)
-        assert oracle_subgroup_count(g2, 4) == len(recs)
+        tables = low_index_subgroups(make_gk(2), 4)
+        assert tables and all(t.n == 4 and not is_primitive(t) for t in tables)
 
     def test_a_n_at_least_m_n(self):
         pres, _, _ = make_hk(2)
         for n in range(2, 7):
-            assert oracle_subgroup_count(pres, n) >= oracle_max_count(pres, n)
+            assert len(low_index_subgroups(pres, n)) >= oracle_max_count(pres, n)
 
 
 class TestPrimitivity:
@@ -168,12 +164,15 @@ class TestOracleAgainstClosedForms:
 
 class TestLimits:
     def test_index_bound(self):
+        # only n >= 2 is checked; the node budget bounds everything else
         z = make_gk(1)
-        with pytest.raises(ValueError):
-            low_index_subgroups(z, 13)
-        assert len(low_index_subgroups(z, 13, index_bound=13)) == 1
+        assert len(low_index_subgroups(z, 13)) == 1
         with pytest.raises(ValueError):
             low_index_subgroups(z, 1)
+        # Z takes one search node per coset, so a huge index exhausts the
+        # budget without a table sized by n
+        with pytest.raises(SearchBudgetExceeded):
+            low_index_subgroups(z, 10 ** 12, node_budget=100)
 
     def test_generator_cap(self):
         pres = GroupPresentation(tuple("abcdefg"), ())

@@ -154,19 +154,37 @@ class TestInvariantSubspaces:
         assert planes == [((1, 0, 0), (0, 1, 0))]
 
 
+def assert_hnf(basis):
+    # echelon with positive pivots, entries above each pivot reduced
+    last_pivot = -1
+    for r, row in enumerate(basis):
+        pivot = next(j for j, x in enumerate(row) if x)
+        assert pivot > last_pivot
+        last_pivot = pivot
+        assert row[pivot] > 0
+        for above in basis[:r]:
+            assert 0 <= above[pivot] < row[pivot]
+
+
 class TestSubmoduleData:
     def test_lattice_bases_in_hnf_with_correct_index(self):
-        for k, p in itertools.product(range(-6, 7), (2, 3, 5, 7)):
-            red = reduce_mod_p(hk_action(k), p)
-            for codim in (1, 2):
+        # H_k on Z^2, and every subspace of F_p^3 under the identity action
+        actions = [reduce_mod_p(hk_action(k), p) for k in range(-6, 7) for p in (2, 3, 5, 7)]
+        actions += [ModuleAction(3, p, (np.eye(3, dtype=np.int64),)) for p in (2, 3)]
+        for red in actions:
+            p, r = red.p, red.rank
+            for codim in range(1, r + 1):
                 for sub in invariant_subspaces(red, codim):
                     assert sub.index == p ** codim
                     assert abs(int_det(sub.lattice_basis)) == sub.index
                     basis = sub.lattice_basis
-                    for i in range(2):
-                        unit = [0, 0]
+                    assert_hnf(basis)
+                    for v in sub.subspace_basis:
+                        assert lattice_contains(basis, v)  # the subspace lifts inside
+                    for i in range(r):
+                        unit = [0] * r
                         unit[i] = p
-                        assert lattice_contains(basis, unit)  # pZ^2 inside
+                        assert lattice_contains(basis, unit)  # pZ^r inside
 
     def test_known_lattice_bases(self):
         m3 = invariant_subspaces(reduce_mod_p(hk_action(5), 3), 1)
