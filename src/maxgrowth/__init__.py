@@ -50,6 +50,7 @@ from .lowindex import (
     is_primitive,
     low_index_subgroups,
     oracle_max_count,
+    oracle_max_counts,
 )
 from .modules import (
     EnumerationBoundExceeded,
@@ -111,6 +112,7 @@ __all__ = [
     "mdeg",
     "noniso_certificate",
     "oracle_max_count",
+    "oracle_max_counts",
     "primes_dividing",
     "primes_up_to",
     "quotient_action",

@@ -11,7 +11,12 @@ the bound, and the error goes to stderr.  The environment variable
 MAXGROWTH_NODE_BUDGET overrides the node budget of the enumeration
 oracle; a cell whose search exceeds the budget is skipped rather than
 failing the run: ``verify`` reports it as SKIPPED, and ``table`` leaves
-out its oracle row and names the skipped n on stderr.
+out its oracle row and names the skipped n on stderr.  The oracle runs
+one search per k for every index it checks, and a cell is skipped
+exactly when a search for its index alone would exceed the budget.  With
+the oracle on, a k whose presentation has a relator longer than the
+oracle takes (H_k with |k| > 996) is a usage error, raised before the
+first line.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 from .core import GroupPresentation, GroupSpec, hk_action_matrices, make_gk, make_hk
 from .formulas import max_count_gk, max_count_hk, mdeg, noniso_certificate
-from .lowindex import SearchBudgetExceeded, oracle_max_count
+from .lowindex import DEFAULT_NODE_BUDGET, MAX_RELATOR_LENGTH, oracle_max_counts
 from .modules import EnumerationBoundExceeded
 from .recursion import recursive_gk, recursive_hk
 
@@ -59,10 +64,10 @@ def _recursion(family: str, k: int, n: int) -> int:
     return recursive_gk(k, n) if family == "gk" else recursive_hk(k, n)
 
 
-def _node_budget() -> int | None:
+def _node_budget() -> int:
     raw = os.environ.get("MAXGROWTH_NODE_BUDGET")
     if raw is None:
-        return None
+        return DEFAULT_NODE_BUDGET
     try:
         return int(raw)
     except ValueError:
@@ -71,6 +76,15 @@ def _node_budget() -> int | None:
 
 def _check_k(family: str, k: int) -> None:
     GroupSpec(family, k)  # raises ValueError on a bad combination
+
+
+def _check_oracle_k(family: str, k: int) -> None:
+    # H_k spells out t2^k in a relator of |k| + 4 letters; G_k's have 4
+    if family == "hk" and abs(k) + 4 > MAX_RELATOR_LENGTH:
+        raise ValueError(
+            f"the oracle takes relators of at most {MAX_RELATOR_LENGTH} letters; "
+            f"H_{k} has one of {abs(k) + 4}"
+        )
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -108,7 +122,12 @@ def cmd_table(args, out=None, err=None) -> int:
         if name not in methods:
             methods.append(name)
     budget = _node_budget()
-    pres = _presentation(args.family, args.k) if "oracle" in methods else None
+    oracle = {}
+    if "oracle" in methods:
+        _check_oracle_k(args.family, args.k)
+        oracle = oracle_max_counts(
+            _presentation(args.family, args.k), args.nmax, node_budget=budget
+        )
     rows = []
     disagree = False
     limit = None
@@ -121,11 +140,13 @@ def cmd_table(args, out=None, err=None) -> int:
                     counts[method] = growth.count
                 elif method == "recursion":
                     counts[method] = _recursion(args.family, args.k, n)
+                elif oracle[n] is None:
+                    print(
+                        f"n={n} oracle=SKIPPED: node budget {budget} exceeded at index {n}",
+                        file=err,
+                    )
                 else:
-                    try:
-                        counts[method] = oracle_max_count(pres, n, node_budget=budget)
-                    except SearchBudgetExceeded as exc:
-                        print(f"n={n} oracle=SKIPPED: {exc}", file=err)
+                    counts[method] = oracle[n]
             if len(set(counts.values())) > 1:
                 disagree = True
             for method, count in counts.items():
@@ -151,25 +172,33 @@ def cmd_verify(args, out=None, err=None) -> int:
             hk_action_matrices(k)  # rejects |k| >= 2^63 before the first line
     if args.nmax < 2:
         raise ValueError(f"--nmax must be >= 2, got {args.nmax}")
+    oracle_nmax = min(args.nmax, args.oracle_nmax)
+    if oracle_nmax >= 2:
+        for k in (k_lo, k_hi):
+            _check_oracle_k(args.family, k)
     budget = _node_budget()
     cells = passes = fails = skips = 0
     limit = None
     try:
         for k in range(k_lo, k_hi + 1):
-            pres = _presentation(args.family, k) if args.oracle_nmax >= 2 else None
+            oracle = {}
+            if oracle_nmax >= 2:
+                oracle = oracle_max_counts(
+                    _presentation(args.family, k), oracle_nmax, node_budget=budget
+                )
             for n in range(2, args.nmax + 1):
                 formula_count = _formula(args.family, k, n).count
                 recursion_count = _recursion(args.family, k, n)
                 values = {formula_count, recursion_count}
                 oracle_text = ""
-                if 2 <= n <= args.oracle_nmax:
-                    try:
-                        oracle_count = oracle_max_count(pres, n, node_budget=budget)
-                        values.add(oracle_count)
-                        oracle_text = f" oracle={oracle_count}"
-                    except SearchBudgetExceeded:
+                if n in oracle:
+                    oracle_count = oracle[n]
+                    if oracle_count is None:
                         skips += 1
                         oracle_text = " oracle=SKIPPED"
+                    else:
+                        values.add(oracle_count)
+                        oracle_text = f" oracle={oracle_count}"
                 verdict = "PASS" if len(values) == 1 else "FAIL"
                 cells += 1
                 if verdict == "PASS":

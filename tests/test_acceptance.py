@@ -3,7 +3,9 @@
 The verdict lines are written to the real stdout so they show up under
 pytest's default capture too.  The oracle corpora (criteria 3 and 4) are
 computed once in module-scoped fixtures and reused by the congruence
-property (criterion 7).
+property (criterion 7).  Each fixture runs one oracle pass per group,
+which counts m_n at every index up to the largest one the corpus asks of
+that group.
 """
 
 import sys
@@ -15,7 +17,7 @@ import pytest
 from maxgrowth.core import GroupSpec, hk_action_matrices, make_gk, make_hk, primes_up_to
 from maxgrowth.derivations import brute_force_count, count_derivations
 from maxgrowth.formulas import max_count_gk, max_count_hk, mdeg, noniso_certificate
-from maxgrowth.lowindex import SearchBudgetExceeded, oracle_max_count
+from maxgrowth.lowindex import oracle_max_counts
 from maxgrowth.modules import (
     ModuleAction,
     classify_rank2_submodules,
@@ -32,6 +34,8 @@ GK_ORACLE_CELLS = (
 HK_ORACLE_KS = range(-2, 5)
 HK_ORACLE_NS = (2, 3, 4, 5, 7, 9)
 HK_REQUIRED_AT_9 = {0, 1, 2, 3}
+# n = 25 takes the coprime p^2 branch at p = 5 for these k
+HK_REQUIRED_AT_25 = (-1, 0, 1)
 
 
 @contextmanager
@@ -47,9 +51,11 @@ def criterion(number, label):
 @pytest.fixture(scope="module")
 def gk_oracle():
     t0 = time.monotonic()
-    results = {}
+    nmax = {}
     for k, n in GK_ORACLE_CELLS:
-        results[(k, n)] = oracle_max_count(make_gk(k), n)
+        nmax[k] = max(nmax.get(k, n), n)
+    counts = {k: oracle_max_counts(make_gk(k), top) for k, top in nmax.items()}
+    results = {(k, n): counts[k][n] for k, n in GK_ORACLE_CELLS}
     return results, time.monotonic() - t0
 
 
@@ -59,11 +65,10 @@ def hk_oracle():
     results = {}
     for k in HK_ORACLE_KS:
         pres, _, _ = make_hk(k)
-        for n in HK_ORACLE_NS:
-            try:
-                results[(k, n)] = oracle_max_count(pres, n)
-            except SearchBudgetExceeded:
-                results[(k, n)] = "SKIPPED"
+        ns = HK_ORACLE_NS + ((25,) if k in HK_REQUIRED_AT_25 else ())
+        counts = oracle_max_counts(pres, max(ns))
+        for n in ns:
+            results[(k, n)] = "SKIPPED" if counts[n] is None else counts[n]
     return results, time.monotonic() - t0
 
 
@@ -108,6 +113,9 @@ def test_criterion_4_hk_oracle_agreement(hk_oracle):
             assert results[(k, 9)] != "SKIPPED"
         # the required cells cover both the p^2 branch and the zero branch
         assert {max_count_hk(k, 9).count for k in HK_REQUIRED_AT_9} == {0, 9}
+        for k in HK_REQUIRED_AT_25:
+            assert max_count_hk(k, 25).case_tag == "p_square_coprime"
+            assert results[(k, 25)] == 25, (k, results[(k, 25)])
 
 
 def test_criterion_5_derivation_closed_forms():

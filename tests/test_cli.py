@@ -121,6 +121,16 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[2] == "3,7,p_divides_k_plus_2,formula"
 
+    def test_relator_beyond_oracle_cap_rejected(self, capsys):
+        # H_997 has a relator of 1001 letters
+        argv = ["table", "--family", "hk", "--k", "997", "--nmax", "3"]
+        code, out, err = run(argv + ["--methods", "formula,oracle"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        code, out, _ = run(argv + ["--methods", "formula,recursion"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * 2
 
     def test_enumeration_bound_exits_3(self, capsys):
         # rows for every n below the prime that hits the bound, then the error
@@ -228,6 +238,31 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_relator_beyond_oracle_cap_rejected(self, capsys):
+        # either end of the range may carry the longest relator; no line
+        # may be printed before the error
+        for k_arg in ("0..997", "-997..0"):
+            argv = ["verify", "--family", "hk", f"--k={k_arg}", "--nmax", "3"]
+            code, out, err = run(argv + ["--oracle-nmax", "2"], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+        # H_996's relator of 1000 letters is within the cap
+        code, out, _ = run(
+            ["verify", "--family", "hk", "--k=996", "--nmax", "2", "--oracle-nmax", "2"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "summary: cells=1 pass=1 fail=0 oracle_skipped=0"
+
+    def test_oracle_at_index_1100(self, capsys):
+        # the oracle search is 1100 levels deep on Z
+        code, out, _ = run(
+            ["verify", "--family", "gk", "--k", "1", "--nmax", "1100", "--oracle-nmax", "1100"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "summary: cells=1099 pass=1099 fail=0 oracle_skipped=0"
 
 
 class TestNoniso:

@@ -1,15 +1,23 @@
+import gc
+
 import pytest
 
 from maxgrowth.core import GroupPresentation, is_prime, make_gk, make_hk
 from maxgrowth.formulas import max_count_gk, max_count_hk
 from maxgrowth.lowindex import (
+    MAX_RELATOR_LENGTH,
     CosetTable,
     SearchBudgetExceeded,
     has_nontrivial_block_system,
     is_primitive,
     low_index_subgroups,
     oracle_max_count,
+    oracle_max_counts,
 )
+
+PASS_GROUPS = {f"G_{k}": make_gk(k) for k in (2, 3, 4)} | {
+    f"H_{k}": make_hk(k)[0] for k in range(-3, 4)
+}
 
 
 def bfs_renumbering(table):
@@ -185,3 +193,60 @@ class TestLimits:
             low_index_subgroups(pres, 9, node_budget=10)
         # a generous budget succeeds
         assert low_index_subgroups(pres, 4, node_budget=10 ** 6) is not None
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("name", PASS_GROUPS)
+    def test_upto_matches_each_index(self, name):
+        pres = PASS_GROUPS[name]
+        tables = low_index_subgroups(pres, 12, upto=True)
+        counts = oracle_max_counts(pres, 12)
+        assert sorted(counts) == list(range(2, 13))
+        assert all(2 <= t.n <= 12 for t in tables)
+        for n in range(2, 13):
+            single = low_index_subgroups(pres, n)
+            # the same tables in the same order, so the same m_n
+            assert [t for t in tables if t.n == n] == single, n
+            assert counts[n] == sum(1 for t in single if is_primitive(t)), n
+
+    def test_budget_skips_from_the_first_exhausted_index(self):
+        pres, _, _ = make_hk(-2)
+        expected = {}
+        for n in range(2, 11):
+            try:
+                expected[n] = oracle_max_count(pres, n, node_budget=1000)
+            except SearchBudgetExceeded:
+                expected[n] = None
+        counts = oracle_max_counts(pres, 10, node_budget=1000)
+        assert counts == expected
+        skipped = [n for n, count in counts.items() if count is None]
+        assert skipped == list(range(skipped[0], 11)) and skipped[0] > 2
+        assert counts[2] == max_count_hk(-2, 2).count
+
+    def test_deep_search(self):
+        # one search level per coset: index 1000 on Z is 1000 levels deep
+        assert len(low_index_subgroups(make_gk(1), 1000)) == 1
+
+    def test_search_leaves_no_reference_cycles(self):
+        pres = make_gk(3)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            tables = low_index_subgroups(pres, 8)
+            del tables
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_relator_length_cap(self):
+        # Z/L on one generator: every rotation of a^L is a^L, so the cap is
+        # checked without paying for L rotations
+        at_cap = GroupPresentation(("a",), ((1,) * MAX_RELATOR_LENGTH,))
+        assert len(low_index_subgroups(at_cap, 2)) == 1
+        over_cap = GroupPresentation(("a",), ((1,) * (MAX_RELATOR_LENGTH + 1),))
+        with pytest.raises(ValueError, match="relators of at most"):
+            low_index_subgroups(over_cap, 2)
+        with pytest.raises(ValueError, match="relators of at most"):
+            oracle_max_counts(over_cap, 2)
