@@ -46,6 +46,7 @@ from .formulas import (
 from .lowindex import (
     CosetTable,
     SearchBudgetExceeded,
+    class_size,
     has_nontrivial_block_system,
     is_primitive,
     low_index_subgroups,
@@ -93,6 +94,7 @@ __all__ = [
     "SubmoduleClassification",
     "brute_force_count",
     "build_system",
+    "class_size",
     "classify_index",
     "classify_rank2_submodules",
     "count_derivations",

@@ -14,9 +14,11 @@ failing the run: ``verify`` reports it as SKIPPED, and ``table`` leaves
 out its oracle row and names the skipped n on stderr.  The oracle runs
 one search per k for every index it checks, and a cell is skipped
 exactly when a search for its index alone would exceed the budget.  With
-the oracle on, a k whose presentation has a relator longer than the
-oracle takes (H_k with |k| > 996) is a usage error, raised before the
-first line.
+the oracle on, a k whose presentation has more generators or a longer
+relator than the oracle takes (G_k with k > 6, H_k with |k| > 996) is a
+usage error, raised before the first line.  The oracle counts m_n from
+one coset table per conjugacy class of subgroups, weighted by the size
+of the class.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 from .core import GroupPresentation, GroupSpec, hk_action_matrices, make_gk, make_hk
 from .formulas import max_count_gk, max_count_hk, mdeg, noniso_certificate
-from .lowindex import DEFAULT_NODE_BUDGET, MAX_RELATOR_LENGTH, oracle_max_counts
+from .lowindex import DEFAULT_NODE_BUDGET, MAX_GENERATORS, MAX_RELATOR_LENGTH, oracle_max_counts
 from .modules import EnumerationBoundExceeded
 from .recursion import recursive_gk, recursive_hk
 
@@ -79,6 +81,9 @@ def _check_k(family: str, k: int) -> None:
 
 
 def _check_oracle_k(family: str, k: int) -> None:
+    # G_k has k generators, H_k four
+    if family == "gk" and k > MAX_GENERATORS:
+        raise ValueError(f"the oracle takes at most {MAX_GENERATORS} generators; G_{k} has {k}")
     # H_k spells out t2^k in a relator of |k| + 4 letters; G_k's have 4
     if family == "hk" and abs(k) + 4 > MAX_RELATOR_LENGTH:
         raise ValueError(

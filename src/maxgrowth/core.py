@@ -18,6 +18,7 @@ and a generator g acts by left multiplication v -> M_g v.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,12 +155,17 @@ def _int_nth_root(n: int, e: int) -> int:
     """Largest r with r**e <= n (n >= 1, e >= 1)."""
     if e == 1:
         return n
-    r = max(1, int(round(n ** (1.0 / e))))
-    while r ** e > n:
-        r -= 1
-    while (r + 1) ** e <= n:
-        r += 1
-    return r
+    if e == 2:
+        return math.isqrt(n)
+    # Newton's method on ints, from a power of two above the root: the
+    # iterates fall strictly until they reach the root (no float, so no
+    # overflow however large n is)
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,13 @@ complete coset tables.  Tables are kept BFS-canonical: cosets are
 numbered in first encounter order while scanning row 0, row 1, ... with
 columns ordered g_1, g_1^-1, g_2, ...  Every subgroup has exactly one
 canonical table, so emitting each complete canonical table once counts
-subgroups, not conjugacy classes (no first-in-class pruning happens, on
-purpose).
+subgroups.  Re-rooting a table at coset r (r becomes coset 0, the rest
+renumbered in scan order) gives the canonical table of the conjugate
+subgroup that stabilizes r, so the re-rootings of a table are the tables
+of its conjugacy class.  With ``classes`` the search keeps only the
+least table of each class (first-in-class pruning, Sims ch. 5), and
+``class_size`` recovers the class size from the table alone: n over the
+number of re-rootings equal to it.
 
 The search fills the first empty cell in scan order, trying existing
 cosets in increasing order and then one fresh coset.  After every
@@ -21,7 +26,9 @@ merging, so tables stay injective).
 Maximality is tested through the coset action: a subgroup is maximal iff
 the action on its cosets is primitive, i.e. admits no nontrivial block
 system.  Prime degree transitive actions are always primitive, so prime
-index short-circuits to True.
+index short-circuits to True.  Conjugate subgroups are all maximal or all
+not, so the oracle counts m_n as the sum of class sizes over the
+primitive class representatives.
 """
 
 from __future__ import annotations
@@ -73,17 +80,21 @@ def low_index_subgroups(
     *,
     node_budget: int | None = None,
     upto: bool = False,
+    classes: bool = False,
 ) -> list[CosetTable]:
     """All index-n subgroups of the presented group, as canonical tables,
     in deterministic (depth-first) order.  With ``upto`` the same search
     also keeps every complete table with 2..n - 1 cosets, so one call
-    returns the subgroups of every index 2..n, in search order.  Any n >= 2
+    returns the subgroups of every index 2..n, in search order.  With
+    ``classes`` it keeps one table per conjugacy class instead: the least
+    of the class in scan order, which ``class_size`` weighs.  Any n >= 2
     is accepted; the node budget is what bounds the search.
 
     The index-j search visits exactly the nodes of this one whose tables
-    have at most j cosets (a new coset is the only move the cap forbids),
-    so filtering the ``upto`` result by index gives each index-j result,
-    in the same order."""
+    have at most j cosets (a new coset is the only move the cap forbids,
+    and class pruning looks only at the partial table), so filtering the
+    ``upto`` result by index gives each index-j result, in the same
+    order."""
     m = pres.num_generators
     if m > MAX_GENERATORS:
         raise ValueError(f"at most {MAX_GENERATORS} generators supported, got {m}")
@@ -100,35 +111,27 @@ def low_index_subgroups(
     width = 2 * m
     # cyclic rotations of every relator, bucketed by their first column:
     # a new transition (coset, column) enables exactly the scans of the
-    # rotations starting with that column
-    rotations: list[list[tuple[int, ...]]] = [[] for _ in range(width)]
+    # rotations starting with that column; each is stored with its inverse
+    # columns, which the backward trace reads, and its length
+    buckets: list[set[tuple[int, ...]]] = [set() for _ in range(width)]
     for rel in pres.relators:
         cols = _relator_columns(rel)
         for i in range(len(cols)):
             rot = cols[i:] + cols[:i]
-            rotations[rot[0]].append(rot)
-    rotations = [sorted(set(bucket)) for bucket in rotations]
+            buckets[rot[0]].add(rot)
+    rotations = [
+        [(rot, tuple(c ^ 1 for c in rot), len(rot)) for rot in sorted(b)] for b in buckets
+    ]
 
     table = [-1] * width  # grows one row per new coset, so memory follows the search, not n
     trail: list[int] = []
     pending: deque[tuple[int, int]] = deque()
     results: list[CosetTable] = []
 
-    def fill(a: int, c: int, b: int) -> None:
-        i1 = a * width + c
-        i2 = b * width + (c ^ 1)
-        table[i1] = b
-        table[i2] = a
-        trail.append(i1)
-        trail.append(i2)
-        pending.append((a, c))
-        pending.append((b, c ^ 1))
-
     def propagate() -> bool:
         while pending:
             a, c = pending.popleft()
-            for rot in rotations[c]:
-                length = len(rot)
+            for rot, inv, length in rotations[c]:
                 f = a
                 i = 0
                 while i < length:
@@ -144,7 +147,7 @@ def low_index_subgroups(
                 b = a
                 j = length - 1
                 while j >= i:
-                    prev = table[b * width + (rot[j] ^ 1)]
+                    prev = table[b * width + inv[j]]
                     if prev < 0:
                         break
                     b = prev
@@ -154,8 +157,48 @@ def low_index_subgroups(
                     # forward and backward traces can never be joined
                     return False
                 if j == i:
-                    fill(f, rot[i], b)  # single gap: forced deduction
+                    # single gap: forced deduction f --rot[i]--> b
+                    i1 = f * width + rot[i]
+                    i2 = b * width + inv[i]
+                    table[i1] = b
+                    table[i2] = f
+                    trail.append(i1)
+                    trail.append(i2)
+                    pending.append((f, rot[i]))
+                    pending.append((b, inv[i]))
         return True
+
+    def row0_rerooting_smaller(nc: int) -> bool:
+        # Row 0 of the re-rooting at r is row r relabelled with r as 0 and
+        # the rest in first-encounter order.  A re-rooting smaller at a
+        # decided entry of row 0 stays smaller in every completion, so no
+        # completion is least in its class.  Entry (0, 0) is 0 when
+        # generator 1 fixes the coset and 1 otherwise, which dismisses
+        # most cosets before any relabelling.
+        first = table[0]
+        decided = 1  # row 0 of the table is decided up to here
+        while decided < width and table[decided] >= 0:
+            decided += 1
+        for r in range(1, nc):
+            base = r * width
+            x = table[base]
+            if x == r:
+                if first:
+                    return True  # 0 against 1
+            elif x < 0 or not first or decided == 1:
+                continue  # undecided, 1 against 0, or nothing more to compare
+            labels = {r: 0, x: first}
+            for c in range(1, decided):
+                x = table[base + c]
+                w = table[c]
+                if x < 0:
+                    break
+                v = labels.setdefault(x, len(labels))
+                if v != w:
+                    if v < w:
+                        return True
+                    break
+        return False
 
     # Depth-first search with an explicit stack, so the depth (one level
     # per definition) is not bounded by the interpreter's recursion limit.
@@ -177,17 +220,21 @@ def low_index_subgroups(
                 candidates.append(nc)
             stack.append((pos, iter(candidates), len(trail), nc))
         elif nc >= least:
-            results.append(
-                CosetTable(
-                    num_generators=m,
-                    entries=tuple(tuple(table[r * width : (r + 1) * width]) for r in range(nc)),
+            flat = table[:limit]
+            if not classes or _rerooting_orbit_size(flat, nc, width, least_only=True):
+                results.append(
+                    CosetTable(
+                        num_generators=m,
+                        entries=tuple(tuple(flat[i : i + width]) for i in range(0, limit, width)),
+                    )
                 )
-            )
         # take the next candidate of the innermost frame that has one left
         while stack:
             pos, candidates, mark, nc = stack[-1]
-            while len(trail) > mark:
-                table[trail.pop()] = -1
+            if len(trail) > mark:
+                for i in trail[mark:]:
+                    table[i] = -1
+                del trail[mark:]
             b = next(candidates, None)
             if b is None:
                 stack.pop()
@@ -199,12 +246,86 @@ def low_index_subgroups(
                 nc += 1
                 if len(table) < nc * width:
                     table.extend([-1] * width)
-            fill(pos // width, pos % width, b)
-            if propagate():
+            a, col = divmod(pos, width)
+            i2 = b * width + (col ^ 1)
+            table[pos] = b
+            table[i2] = a
+            trail.append(pos)
+            trail.append(i2)
+            pending.append((a, col))
+            pending.append((b, col ^ 1))
+            if not propagate():
+                pending.clear()
+            elif not (classes and row0_rerooting_smaller(nc)):
                 break  # descend: scan on from pos in the extended table
-            pending.clear()
         else:
             return results
+
+
+def _rerooting_orbit_size(flat: list[int], n: int, width: int, *, least_only: bool) -> int:
+    """Number of cosets whose re-rooting gives this complete table back,
+    or 0 when ``least_only`` and some re-rooting is smaller in scan order.
+
+    A re-rooting equal to the table is an automorphism of the coset
+    action, and automorphisms carry a coset to one with the same
+    re-rooting, so one coset per orbit of the automorphisms found so far
+    is compared (union-find over the cosets; ``done`` marks an orbit
+    already decided, ``size`` counts its cosets)."""
+    parent = list(range(n))
+    size = [1] * n
+    done = [False] * n
+    done[0] = True
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r in range(1, n):
+        root = find(r)
+        if done[root]:
+            continue
+        done[root] = True
+        label = [-1] * n
+        label[r] = 0
+        order = [r]
+        diff = 0
+        for i in range(n):
+            base = order[i] * width
+            for c in range(width):
+                x = flat[base + c]
+                v = label[x]
+                if v < 0:
+                    v = label[x] = len(order)
+                    order.append(x)
+                diff = v - flat[i * width + c]
+                if diff:
+                    break
+            if diff:
+                break
+        if diff < 0 and least_only:
+            return 0
+        if diff == 0:
+            for x, y in enumerate(label):
+                x, y = find(x), find(y)
+                if x != y:
+                    if x > y:
+                        x, y = y, x
+                    parent[y] = x
+                    size[x] += size[y]
+                    done[x] = done[x] or done[y]
+            if size[0] == n:
+                break  # every re-rooting gives the table back
+    return size[0]  # roots are least in their orbit, so 0 stays a root
+
+
+def class_size(table: CosetTable) -> int:
+    """Number of subgroups conjugate to the one the table encodes: n over
+    the number of cosets whose re-rooting gives the same table."""
+    width = 2 * table.num_generators
+    flat = [x for row in table.entries for x in row]
+    return table.n // _rerooting_orbit_size(flat, table.n, width, least_only=False)
 
 
 def has_nontrivial_block_system(table: CosetTable) -> bool:
@@ -250,9 +371,11 @@ def is_primitive(table: CosetTable) -> bool:
 
 
 def oracle_max_count(pres: GroupPresentation, n: int, *, node_budget: int | None = None) -> int:
-    """Number of maximal subgroups of index n, by exhaustive enumeration."""
-    tables = low_index_subgroups(pres, n, node_budget=node_budget)
-    return sum(1 for t in tables if is_primitive(t))
+    """Number of maximal subgroups of index n, by exhaustive enumeration:
+    conjugates are all maximal or all not, so each primitive class
+    representative counts with the size of its class."""
+    tables = low_index_subgroups(pres, n, node_budget=node_budget, classes=True)
+    return sum(class_size(t) for t in tables if is_primitive(t))
 
 
 def oracle_max_counts(
@@ -265,7 +388,9 @@ def oracle_max_counts(
     the pass's nodes with at most n cosets, so a pass within budget leaves
     out no index, and once one index runs out every larger index does."""
     try:
-        tables = low_index_subgroups(pres, nmax, node_budget=node_budget, upto=True)
+        tables = low_index_subgroups(
+            pres, nmax, node_budget=node_budget, upto=True, classes=True
+        )
     except SearchBudgetExceeded:
         counts: dict[int, int | None] = dict.fromkeys(range(2, nmax + 1))
         for n in counts:
@@ -277,5 +402,5 @@ def oracle_max_counts(
     counts = dict.fromkeys(range(2, nmax + 1), 0)
     for t in tables:
         if is_primitive(t):
-            counts[t.n] += 1
+            counts[t.n] += class_size(t)
     return counts

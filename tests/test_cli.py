@@ -132,6 +132,17 @@ class TestTable:
         assert code == 0
         assert len(out.splitlines()) == 1 + 2 * 2
 
+    def test_generators_beyond_oracle_cap_rejected(self, capsys):
+        # G_7 has 7 generators; the oracle takes 6
+        argv = ["table", "--family", "gk", "--k", "7", "--nmax", "3"]
+        code, out, err = run(argv + ["--methods", "formula,oracle"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        code, out, _ = run(argv + ["--methods", "formula,recursion"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * 2
+
     def test_enumeration_bound_exits_3(self, capsys):
         # rows for every n below the prime that hits the bound, then the error
         code, out, err = run(["table", "--family", "hk", "--k", "1", "--nmax", "1010"], capsys)
@@ -254,6 +265,17 @@ class TestVerify:
         )
         assert code == 0
         assert out.splitlines()[-1] == "summary: cells=1 pass=1 fail=0 oracle_skipped=0"
+
+    def test_generators_beyond_oracle_cap_rejected(self, capsys):
+        # no k=6 line may be printed before G_7 is refused
+        argv = ["verify", "--family", "gk", "--k=6..7", "--nmax", "3"]
+        code, out, err = run(argv + ["--oracle-nmax", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "summary: cells=4 pass=4 fail=0 oracle_skipped=0"
 
     def test_oracle_at_index_1100(self, capsys):
         # the oracle search is 1100 levels deep on Z

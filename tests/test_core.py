@@ -131,6 +131,12 @@ class TestClassifyIndex:
                 assert classify_index(q * r * r).kind == "composite", (q, r)
                 assert classify_index(q * q * r).kind == "composite", (q, r)
 
+    @pytest.mark.parametrize("n", [107 ** 200, 103 * 107 ** 200, 101 ** 3 * 103 ** 3])
+    def test_beyond_float_range(self, n):
+        # the e-th root is taken on ints: 107^200 is far past the largest float
+        cls = classify_index(n)
+        assert (cls.kind, cls.p, cls.exponent) == classification_of(factorint(n))
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=2 ** 64 - 1))
     def test_against_factorint(self, n):

@@ -1,4 +1,5 @@
 import gc
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from maxgrowth.lowindex import (
     MAX_RELATOR_LENGTH,
     CosetTable,
     SearchBudgetExceeded,
+    class_size,
     has_nontrivial_block_system,
     is_primitive,
     low_index_subgroups,
@@ -18,6 +20,23 @@ from maxgrowth.lowindex import (
 PASS_GROUPS = {f"G_{k}": make_gk(k) for k in (2, 3, 4)} | {
     f"H_{k}": make_hk(k)[0] for k in range(-3, 4)
 }
+
+
+def rerooted(table, r):
+    """The canonical table of the stabilizer of coset r: r becomes coset 0
+    and the rest are renumbered in first-encounter order."""
+    order = [r]
+    label = {r: 0}
+    entries = []
+    for source in order:
+        row = []
+        for target in table.entries[source]:
+            if target not in label:
+                label[target] = len(order)
+                order.append(target)
+            row.append(label[target])
+        entries.append(tuple(row))
+    return CosetTable(table.num_generators, tuple(entries))
 
 
 def bfs_renumbering(table):
@@ -250,3 +269,46 @@ class TestOnePass:
             low_index_subgroups(over_cap, 2)
         with pytest.raises(ValueError, match="relators of at most"):
             oracle_max_counts(over_cap, 2)
+
+
+class TestClasses:
+    @pytest.mark.parametrize("name", PASS_GROUPS)
+    def test_representatives_weigh_up_to_every_subgroup(self, name):
+        pres = PASS_GROUPS[name]
+        every = low_index_subgroups(pres, 12, upto=True)
+        reps = low_index_subgroups(pres, 12, upto=True, classes=True)
+        assert set(reps) <= set(every)
+        for n in range(2, 13):
+            subgroups = [t for t in every if t.n == n]
+            classes = [t for t in reps if t.n == n]
+            assert sum(map(class_size, classes)) == len(subgroups), n
+            if n <= 8:
+                # the same representatives as the index-n search alone
+                assert classes == low_index_subgroups(pres, n, classes=True), n
+        for t in reps:
+            # least in scan order among its re-rootings, so least in its class
+            assert all(t.entries <= rerooted(t, r).entries for r in range(t.n))
+
+    def test_class_size_counts_distinct_conjugates(self):
+        for pres in (make_gk(3), make_hk(1)[0]):
+            for t in low_index_subgroups(pres, 8, upto=True):
+                conjugates = {rerooted(t, r).entries for r in range(t.n)}
+                assert class_size(t) == len(conjugates)
+
+    def test_class_size_of_a_normal_subgroup(self):
+        # every subgroup of Z is normal; the automorphisms found settle all
+        # 1000 cosets after one comparison
+        (table,) = low_index_subgroups(make_gk(1), 1000)
+        start = time.perf_counter()
+        assert class_size(table) == 1
+        assert time.perf_counter() - start < 0.5
+
+    def test_pruning_saves_nodes(self):
+        # exact node counts of the index-n searches on H_1, n = 2..6
+        pres, _, _ = make_hk(1)
+        every, reps = (22, 86, 248, 637, 1387), (22, 78, 207, 524, 1174)
+        for classes, counts in ((False, every), (True, reps)):
+            for n, nodes in zip(range(2, 7), counts):
+                low_index_subgroups(pres, n, node_budget=nodes, classes=classes)
+                with pytest.raises(SearchBudgetExceeded):
+                    low_index_subgroups(pres, n, node_budget=nodes - 1, classes=classes)
