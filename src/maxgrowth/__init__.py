@@ -32,6 +32,7 @@ from .derivations import (
     brute_force_count,
     build_system,
     count_derivations,
+    solution_space,
     word_derivation_row,
 )
 from .formulas import (
@@ -121,5 +122,6 @@ __all__ = [
     "recursive_gk",
     "recursive_hk",
     "reduce_mod_p",
+    "solution_space",
     "word_derivation_row",
 ]

@@ -4,14 +4,15 @@ non-isomorphism certificates and growth degrees.
 Tables and verdicts go to stdout; diagnostics go to stderr.  Exit status
 is 0 when every computed route agrees, 1 on any inter-method
 disagreement, 2 on usage errors, and 3 when an internal enumeration bound
-stops the run early (the recursion's line scan of F_p^2 stops at
-p^2 > 10^6): ``verify`` still prints its summary line for the cells it
-printed, ``table`` writes the rows of every n below the one that hit
-the bound, and the error goes to stderr.  The environment variable
-MAXGROWTH_NODE_BUDGET overrides the node budget of the enumeration
-oracle; a cell whose search exceeds the budget is skipped rather than
-failing the run: ``verify`` reports it as SKIPPED, and ``table`` leaves
-out its oracle row and names the skipped n on stderr.  The oracle runs
+stops the run early: ``verify`` still prints its summary line for the
+cells it printed, ``table`` writes the rows of every n below the one that
+hit the bound, and the error goes to stderr.  No G_k or H_k input reaches
+such a bound: the recursion reads the invariant lines of F_p^2 off a
+quadratic mod p rather than scanning them, so it takes any prime.  The
+environment variable MAXGROWTH_NODE_BUDGET overrides the node budget of
+the enumeration oracle; a cell whose search exceeds the budget is skipped
+rather than failing the run: ``verify`` reports it as SKIPPED, and
+``table`` leaves out its oracle row and names the skipped n on stderr.  The oracle runs
 one search per k for every index it checks, and a cell is skipped
 exactly when a search for its index alone would exceed the budget.  With
 the oracle on, a k whose presentation has more generators or a longer

@@ -7,6 +7,12 @@ set of one linear system over F_p per relator.  Counting solutions is a
 rank computation; an exhaustive search over all generator assignments
 serves as an independent oracle for the same count.
 
+The system can also be built once over Z, from an integral action by
+unimodular matrices, and reduced mod each prime: reduction mod p is a
+ring map, and the integral inverse of a unimodular matrix reduces to its
+inverse mod p, so the reduced rows are the rows built from the reduced
+action.
+
 Unknown layout: the coordinates of d(g_i) occupy the contiguous block
 i*dim .. (i+1)*dim - 1, generators in presentation order; block rows are
 stacked in relator order.  This fixed layout keeps ranks and tests
@@ -28,9 +34,10 @@ BRUTE_FORCE_BOUND = 10 ** 6
 
 @dataclass(frozen=True, eq=False)
 class CocycleSystem:
-    """Stacked relator conditions: rows . unknowns = 0 over F_p."""
+    """Stacked relator conditions: rows . unknowns = 0 over F_p, or over
+    Z when ``p is None``."""
 
-    p: int
+    p: int | None
     num_generators: int
     dim: int
     rows: Matrix  # num_relators * dim rows of num_generators * dim entries
@@ -66,10 +73,9 @@ def word_derivation_row(word, action: ModuleAction) -> Matrix:
     Left-to-right scan accumulating the acting prefix matrix: a positive
     letter g contributes +prefix to the d(g) block, an inverse letter
     contributes -prefix * M_g^-1 (from d(g^-1) = -g^-1 . d(g)).
-    Returns a dim x (num_generators * dim) matrix over F_p.
+    Returns a dim x (num_generators * dim) matrix over F_p, or over Z for
+    an integral action.
     """
-    if action.p is None:
-        raise ValueError("cocycle rows are built mod p; reduce the action first")
     p, d, m = action.p, action.rank, action.num_generators
     row = [[0] * (m * d) for _ in range(d)]
     prefix = identity(d)
@@ -79,9 +85,11 @@ def word_derivation_row(word, action: ModuleAction) -> Matrix:
         start = (abs(letter) - 1) * d
         for out, coeffs in zip(row, term):
             for j, x in enumerate(coeffs, start):
-                out[j] = (out[j] + sign * x) % p
+                out[j] += sign * x
         prefix = step
-    return tuple(map(tuple, row))
+    if p is None:
+        return tuple(map(tuple, row))
+    return tuple(tuple(x % p for x in out) for out in row)
 
 
 def build_system(presentation: GroupPresentation, action: ModuleAction) -> CocycleSystem:
@@ -99,17 +107,30 @@ def build_system(presentation: GroupPresentation, action: ModuleAction) -> Cocyc
     )
 
 
+def _require_reduced(action: ModuleAction) -> None:
+    if action.p is None:
+        raise ValueError("derivations are counted mod p; reduce the action first")
+
+
+def solution_space(system: CocycleSystem, p: int) -> DerivationSpace:
+    """Solutions mod p of a system over F_p, or of an integral system
+    reduced mod p: p^(free unknowns), by Gaussian elimination over F_p."""
+    if system.p not in (None, p):
+        raise ValueError(f"system is over F_{system.p}, not F_{p}")
+    return DerivationSpace(p=p, dimension=system.num_unknowns - rank_mod(system.rows, p))
+
+
 def count_derivations(presentation: GroupPresentation, action: ModuleAction) -> DerivationSpace:
-    """|Der(G, S)| = p^(free unknowns), by Gaussian elimination over F_p."""
-    system = build_system(presentation, action)
-    free = system.num_generators * system.dim - rank_mod(system.rows, system.p)
-    return DerivationSpace(p=system.p, dimension=free)
+    """|Der(G, S)| for a module S over F_p."""
+    _require_reduced(action)
+    return solution_space(build_system(presentation, action), action.p)
 
 
 def brute_force_count(presentation: GroupPresentation, action: ModuleAction) -> int:
     """Independent oracle: enumerate every map {generators} -> S and keep
     those whose relator functionals all vanish; at most BRUTE_FORCE_BOUND
     of them."""
+    _require_reduced(action)
     system = build_system(presentation, action)
     p, d, m = system.p, system.dim, system.num_generators
     total = p ** (d * m)

@@ -11,12 +11,15 @@ and p e_j at every other column j.  That matrix is already in HNF, which
 makes equality, ordering and deduplication exact.
 
 Matrices are tuples of row tuples of Python ints, as in :mod:`.linalg`.
-Invariant subspaces are found by brute force over normalized (reduced row
-echelon form) bases.  The sizes here are tiny and the enumeration doubles
-as its own oracle.  The rank-2 lines, met at every prime the recursion
-samples, are tested one matrix at a time: the line through (1, t) is
+Invariant subspaces of rank >= 3 are found by brute force over normalized
+(reduced row echelon form) bases.  The sizes there are tiny and the
+enumeration doubles as its own oracle.  The rank-2 lines, met at every
+prime the recursion samples, are eigenlines: the line through (1, t) is
 invariant under [[a, b], [c, d]] exactly when c + (d - a)t - bt^2 = 0 mod
-p, and the line through (0, 1) exactly when b = 0 mod p.
+p, and the line through (0, 1) exactly when b = 0 mod p.  A non-scalar
+matrix has at most two such lines, the roots of that quadratic, so no
+prime is too large; only an all-scalar action, which fixes all p + 1
+lines, and the rank >= 3 enumeration are held to ENUMERATION_BOUND.
 """
 
 from __future__ import annotations
@@ -182,11 +185,72 @@ def _rref_bases(p: int, r: int, d: int):
             yield tuple(tuple(row) for row in basis)
 
 
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod an odd prime p, or None for a non-residue
+    (Tonelli-Shanks; H. Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 1.5.1)."""
+    a %= p
+    if a == 0:
+        return 0
+    euler = pow(a, (p - 1) // 2, p)
+    if euler == p - 1:
+        return None
+    if euler != 1:
+        raise ValueError(f"{p} is not prime")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)  # r^2 = a t throughout
+    if t == 1:
+        return r
+    z = next((z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1), None)
+    if z is None:
+        raise ValueError(f"{p} is not prime")
+    m, c = s, pow(z, q, p)
+    while t != 1:
+        i, u = 0, t
+        while u != 1:  # the least i with t^(2^i) = 1
+            u, i = u * u % p, i + 1
+            if i == m:
+                raise ValueError(f"{p} is not prime")
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _eigenslopes(mat: Matrix, p: int) -> list[int | None]:
+    """Slopes of the invariant lines of one non-scalar matrix mod an odd
+    prime: t for the line through (1, t), None for (0, 1)."""
+    (a, b), (c, d) = mat
+    if b == 0:  # c + (d - a)t = 0, and (0, 1) is invariant
+        return [None] if a == d else [None, -c * pow(d - a, -1, p) % p]
+    # b t^2 - (d - a)t - c = 0
+    root = _sqrt_mod((d - a) ** 2 + 4 * b * c, p)
+    if root is None:
+        return []
+    half = pow(2 * b, -1, p)
+    return list({(d - a + root) * half % p, (d - a - root) * half % p})
+
+
+def _require_enumerable(p: int, r: int) -> None:
+    if p ** r > ENUMERATION_BOUND:
+        raise EnumerationBoundExceeded(f"enumeration bound exceeded: {p}^{r} > {ENUMERATION_BOUND}")
+
+
 def _invariant_lines_rank2(action: ModuleAction) -> list[tuple[tuple[int, int], ...]]:
-    """Scan the p + 1 lines of F_p^2 against the first matrix, then filter
-    the survivors through the rest."""
+    """Take the candidate lines from the first non-scalar matrix's
+    quadratic, then filter them through every matrix.  At p = 2 the three
+    lines are scanned; an all-scalar action fixes every one of the p + 1
+    lines, which are enumerated up to ENUMERATION_BOUND."""
     p = action.p
-    slopes = [*range(p), None]  # t for the line through (1, t); None for (0, 1)
+    first = next((m for m in action.matrices if m[0][1] or m[1][0] or m[0][0] != m[1][1]), None)
+    if p == 2:
+        slopes = [0, 1, None]
+    elif first is None:
+        _require_enumerable(p, 2)
+        slopes = [*range(p), None]
+    else:
+        slopes = _eigenslopes(first, p)
     for (a, b), (c, d) in action.matrices:
         slopes = [t for t in slopes if (b if t is None else c + (d - a - b * t) * t) % p == 0]
     return [((0, 1) if t is None else (1, t),) for t in slopes]
@@ -216,11 +280,10 @@ def invariant_subspaces(action: ModuleAction, codim: int) -> list[Submodule]:
         raise ValueError(f"codim must lie in 1..{r}")
     if codim == r:
         return [_submodule_from_subspace(action, ())]  # only the zero subspace
-    if p ** r > ENUMERATION_BOUND:
-        raise EnumerationBoundExceeded(f"enumeration bound exceeded: {p}^{r} > {ENUMERATION_BOUND}")
     if r == 2:
         found = _invariant_lines_rank2(action)
     else:
+        _require_enumerable(p, r)
         found = [
             basis
             for basis in _rref_bases(p, r, r - codim)

@@ -11,32 +11,39 @@ takes its G_2 term from the G_2 level of the same chain.
 Each chain level -- Z x| G_{i-1} for G_i, and the lattice extension for
 H_k -- is built and validated once and then memoized, so a sweep over n
 repeats only the work that depends on n.  The memo is safe to share: its
-values are frozen dataclasses holding tuples.
+values are frozen dataclasses holding tuples.  A level also builds its
+cocycle system over Z once.  When the maximal submodule is pN itself (the
+zero subspace mod p), the quotient N/pN is N reduced mod p, so its
+derivations are counted from that one system reduced mod p, with no
+quotient action built per prime.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import GroupPresentation, hk_action_matrices, is_prime, make_gk
-from .derivations import count_derivations
+from .derivations import CocycleSystem, build_system, count_derivations, solution_space
 from .modules import ModuleAction, maximal_submodules, quotient_action
 
 
 @dataclass(frozen=True, eq=False)
 class SplitExtension:
-    """A lattice N = Z^r with an action of a presented quotient group."""
+    """A lattice N = Z^r with an action of a presented quotient group, and
+    the cocycle system of that action over Z."""
 
     quotient: GroupPresentation
     module: ModuleAction
+    cocycles: CocycleSystem = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.module.p is not None:
             raise ValueError("the module of a split extension is integral")
         if not self.module.satisfies(self.quotient):
             raise ValueError("action matrices do not satisfy the quotient relators")
+        object.__setattr__(self, "cocycles", build_system(self.quotient, self.module))
 
 
 def max_count_split(
@@ -48,8 +55,11 @@ def max_count_split(
         raise ValueError(f"n must be >= 2, got {n}")
     total = m_n_of_quotient(n)
     for sub in maximal_submodules(ext.module, n):
-        induced = quotient_action(sub.ambient, sub)
-        total += count_derivations(ext.quotient, induced).count
+        if sub.subspace_basis:
+            induced = quotient_action(sub.ambient, sub)
+            total += count_derivations(ext.quotient, induced).count
+        else:  # N_0 = pN: N/N_0 is N reduced mod p
+            total += solution_space(ext.cocycles, sub.p).count
     return total
 
 

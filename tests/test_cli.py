@@ -3,12 +3,25 @@ import json
 import pytest
 
 from maxgrowth import cli
+from maxgrowth.modules import EnumerationBoundExceeded
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def bound_hit_at(monkeypatch, stop):
+    """Make the recursion route raise EnumerationBoundExceeded from n = stop on."""
+    recursion = cli._recursion
+
+    def bounded(family, k, n):
+        if n >= stop:
+            raise EnumerationBoundExceeded(f"enumeration bound exceeded at n={n}")
+        return recursion(family, k, n)
+
+    monkeypatch.setattr(cli, "_recursion", bounded)
 
 
 class TestTable:
@@ -143,14 +156,29 @@ class TestTable:
         assert code == 0
         assert len(out.splitlines()) == 1 + 2 * 2
 
-    def test_enumeration_bound_exits_3(self, capsys):
-        # rows for every n below the prime that hits the bound, then the error
-        code, out, err = run(["table", "--family", "hk", "--k", "1", "--nmax", "1010"], capsys)
+    def test_enumeration_bound_exits_3(self, capsys, monkeypatch):
+        # rows for every n below the one that hits the bound, then the error
+        bound_hit_at(monkeypatch, 7)
+        code, out, err = run(["table", "--family", "hk", "--k", "1", "--nmax", "10"], capsys)
         assert code == 3
         lines = out.splitlines()
-        assert len(lines) == 1 + 2 * 1007
-        assert lines[-2:] == ["1008,0,otherwise,formula", "1008,0,otherwise,recursion"]
-        assert err == "error: enumeration bound exceeded: 1009^2 > 1000000\n"
+        assert len(lines) == 1 + 2 * 5
+        assert lines[-2:] == ["6,0,otherwise,formula", "6,0,otherwise,recursion"]
+        assert err == "error: enumeration bound exceeded at n=7\n"
+
+    def test_hk_recursion_past_p_1009(self, capsys):
+        # the H_k lines come from a quadratic mod p, so no prime stops the run
+        code, out, err = run(["table", "--family", "hk", "--k", "1", "--nmax", "1010"], capsys)
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 1 + 2 * 1009
+        assert lines[-4:] == [
+            "1009,1010,p_coprime,formula",
+            "1009,1010,p_coprime,recursion",
+            "1010,0,otherwise,formula",
+            "1010,0,otherwise,recursion",
+        ]
 
 
 class TestVerify:
@@ -231,14 +259,26 @@ class TestVerify:
         )
         assert code == 2
 
-    def test_enumeration_bound_exits_3(self, capsys):
-        # the H_k line scan stops at p = 1009; the cells before it still count
-        code, out, err = run(["verify", "--family", "hk", "--k", "1", "--nmax", "1010"], capsys)
+    def test_enumeration_bound_exits_3(self, capsys, monkeypatch):
+        # the cells before the one that hits the bound still count
+        bound_hit_at(monkeypatch, 7)
+        code, out, err = run(["verify", "--family", "hk", "--k", "1", "--nmax", "10"], capsys)
         assert code == 3
         lines = out.splitlines()
-        assert lines[-2] == "k=1 n=1008 formula=0 recursion=0 PASS"
-        assert lines[-1] == "summary: cells=1007 pass=1007 fail=0 oracle_skipped=0"
-        assert err == "error: enumeration bound exceeded: 1009^2 > 1000000\n"
+        assert lines[-2] == "k=1 n=6 formula=0 recursion=0 PASS"
+        assert lines[-1] == "summary: cells=5 pass=5 fail=0 oracle_skipped=0"
+        assert err == "error: enumeration bound exceeded at n=7\n"
+
+    def test_hk_recursion_past_p_1009(self, capsys):
+        code, out, err = run(["verify", "--family", "hk", "--k", "1", "--nmax", "1010"], capsys)
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[-3:] == [
+            "k=1 n=1009 formula=1010 recursion=1010 PASS",
+            "k=1 n=1010 formula=0 recursion=0 PASS",
+            "summary: cells=1009 pass=1009 fail=0 oracle_skipped=0",
+        ]
 
     def test_k_beyond_int64_rejected(self, capsys):
         # one good end is not enough: no line may be printed before the error

@@ -8,6 +8,7 @@ from maxgrowth.derivations import (
     brute_force_count,
     build_system,
     count_derivations,
+    solution_space,
     word_derivation_row,
 )
 from maxgrowth.linalg import int_det, inv_mod
@@ -90,6 +91,25 @@ class TestBuildSystem:
         q = quotient_action(red, sub)
         system = build_system(make_gk(2), q)
         assert not np.array(system.rows).any()
+
+    def test_integral_rows_reduce_to_rows_mod_p(self):
+        # reduction mod p commutes with products and unimodular inverses
+        for k in (-7, 0, 3, 10):
+            integral = ModuleAction(2, None, hk_action_matrices(k))
+            rows = build_system(make_gk(2), integral).rows
+            for p in PRIMES_TO_31:
+                reduced = build_system(make_gk(2), reduce_mod_p(integral, p)).rows
+                assert tuple(tuple(x % p for x in row) for row in rows) == reduced, (k, p)
+
+    def test_integral_action_needs_a_prime(self):
+        integral = ModuleAction(2, None, hk_action_matrices(1))
+        with pytest.raises(ValueError):
+            count_derivations(make_gk(2), integral)
+        with pytest.raises(ValueError):
+            brute_force_count(make_gk(2), integral)
+        system = build_system(make_gk(2), reduce_mod_p(integral, 5))
+        with pytest.raises(ValueError):
+            solution_space(system, 7)
 
     def test_mismatched_action_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from maxgrowth.core import hk_action_matrices, make_gk, primes_up_to
 from maxgrowth.linalg import int_det
 from maxgrowth.modules import (
+    EnumerationBoundExceeded,
     ModuleAction,
+    _sqrt_mod,
     classify_rank2_submodules,
     invariant_subspaces,
     maximal_submodules,
@@ -66,6 +68,19 @@ class TestModuleAction:
             reduce_mod_p(reduce_mod_p(act, 5), 5)
 
 
+EIGENLINE_PRIMES = [2, 3, 5, 7, 17, 41, 97, 257]  # 17, 41, 97, 257 are 1 mod 8
+
+
+def scanned_lines(p, mats):
+    """Every one of the p + 1 lines of F_p^2 that each matrix maps into itself."""
+    lines = []
+    for v in [(0, 1)] + [(1, t) for t in range(p)]:
+        images = [(a * v[0] + b * v[1], c * v[0] + d * v[1]) for (a, b), (c, d) in mats]
+        if all((v[0] * w[1] - v[1] * w[0]) % p == 0 for w in images):
+            lines.append((v,))
+    return sorted(lines)
+
+
 class TestInvariantSubspaces:
     def test_single_line_for_k4_p2(self):
         lines = invariant_subspaces(reduce_mod_p(hk_action(4), 2), 1)
@@ -118,23 +133,22 @@ class TestInvariantSubspaces:
         with pytest.raises(ValueError):
             invariant_subspaces(big, 1)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from([2, 3, 5, 7, 31]),
-        st.lists(st.tuples(*[st.integers(-40, 40)] * 4), min_size=1, max_size=3),
+        st.sampled_from(EIGENLINE_PRIMES),
+        st.booleans(),
+        st.lists(st.tuples(*[st.integers(-300, 300)] * 4), min_size=1, max_size=3),
     )
-    def test_rank2_lines_match_cross_product(self, p, entries):
-        # any invertible actions, not only H_k: v spans an invariant line
-        # exactly when v and M v are parallel for every M
+    def test_rank2_lines_match_cross_product(self, p, scalar_first, entries):
+        # any invertible actions, not only H_k, against the scan of all
+        # p + 1 lines; a scalar first matrix leaves the lines to the next one
         mats = [((a, b), (c, d)) for a, b, c, d in entries]
+        if scalar_first:
+            a = entries[0][0]
+            mats[0] = ((a, 0), (0, a))
         assume(all((a * d - b * c) % p for (a, b), (c, d) in mats))
-        want = []
-        for v in [(0, 1)] + [(1, t) for t in range(p)]:
-            images = [(a * v[0] + b * v[1], c * v[0] + d * v[1]) for (a, b), (c, d) in mats]
-            if all((v[0] * w[1] - v[1] * w[0]) % p == 0 for w in images):
-                want.append((v,))
         got = invariant_subspaces(ModuleAction(2, p, tuple(mats)), 1)
-        assert [s.subspace_basis for s in got] == sorted(want)
+        assert [s.subspace_basis for s in got] == scanned_lines(p, mats)
 
     def test_zero_subspace_needs_no_bound(self):
         # codim == rank lists only the zero subspace, at any prime
@@ -152,6 +166,75 @@ class TestInvariantSubspaces:
         assert lines == [((1, 0, 0),)]
         planes = [s.subspace_basis for s in invariant_subspaces(act, 1)]
         assert planes == [((1, 0, 0), (0, 1, 0))]
+
+
+def eigenline_cases(p):
+    """Named rank-2 actions mod p: scalar, diagonal, b = 0 mod p and
+    zero-discriminant matrices, alone and after a scalar one."""
+    single = {
+        "scalar_minus_one": ((-1, 0), (0, -1)),
+        "diagonal": ((1, 0), (0, -1)),
+        "diagonal_distinct": ((2, 0), (0, 3)),
+        "b_zero_a_ne_d": ((1, 0), (5, 3)),
+        "b_zero_shear": ((1, 0), (1, 1)),
+        "b_multiple_of_p": ((1, p), (1, 2)),
+        "zero_disc_jordan": ((1, 1), (0, 1)),
+        "zero_disc_b2": ((0, 1), (-1, 2)),  # (d - a)^2 + 4bc = 0
+        "zero_disc_general": ((1, 1), (-1, 3)),
+        "swap": ((0, 1), (1, 0)),
+        "rotation": ((0, -1), (1, 0)),  # discriminant -4
+        "companion_7": ((0, 1), (-1, 7)),  # discriminant 45
+        "companion_11": ((0, 1), (1, 11)),  # discriminant 125
+    }
+    cases = {name: [m] for name, m in single.items()}
+    cases.update({f"scalar_then_{name}": [((3, 0), (0, 3)), m] for name, m in single.items()})
+    cases["swap_then_b"] = [((0, 1), (1, 0)), ((0, 1), (-1, 2))]
+    cases["b_zero_then_swap"] = [((1, 0), (5, 3)), ((0, 1), (1, 0))]
+    return {
+        name: mats
+        for name, mats in cases.items()
+        if all((a * d - b * c) % p for (a, b), (c, d) in mats)
+    }
+
+
+class TestEigenlines:
+    @pytest.mark.parametrize("p", EIGENLINE_PRIMES)
+    def test_named_actions_match_scan(self, p):
+        for name, mats in eigenline_cases(p).items():
+            got = invariant_subspaces(ModuleAction(2, p, tuple(mats)), 1)
+            assert [s.subspace_basis for s in got] == scanned_lines(p, mats), (p, name)
+
+    @pytest.mark.parametrize("p", [q for q in EIGENLINE_PRIMES if q > 2] + [1009, 10 ** 9 + 7])
+    def test_square_roots(self, p):
+        residues = {x * x % p for x in range(min(p, 2000))}
+        for a in range(min(p, 2000)):
+            r = _sqrt_mod(a, p)
+            if r is None:
+                assert pow(a, (p - 1) // 2, p) == p - 1, (p, a)
+            else:
+                assert r * r % p == a, (p, a)
+            if p < 2000:
+                assert (r is not None) == (a in residues), (p, a)
+
+    def test_square_root_rejects_composite_modulus(self):
+        # Euler's criterion gives neither 1 nor -1
+        for a, n in [(4, 9), (2, 15), (4, 21), (6, 25)]:
+            with pytest.raises(ValueError):
+                _sqrt_mod(a, n)
+
+    @pytest.mark.parametrize("p", [1009, 10 ** 9 + 7, 2 ** 61 - 1])
+    def test_no_bound_for_a_non_scalar_action(self, p):
+        # the H_2 action fixes only the line through (1, 1)
+        got = invariant_subspaces(reduce_mod_p(hk_action(2), p), 1)
+        assert [s.subspace_basis for s in got] == [((1, 1),)]
+        scalar_first = ModuleAction(2, p, (((5, 0), (0, 5)), ((0, 1), (1, 0))))
+        got = invariant_subspaces(scalar_first, 1)
+        assert [s.subspace_basis for s in got] == [((1, 1),), ((1, p - 1),)]
+
+    def test_bound_kept_for_rank3(self):
+        act = ModuleAction(3, 101, (((0, 1, 0), (0, 0, 1), (1, 0, 0)),))
+        with pytest.raises(EnumerationBoundExceeded):
+            invariant_subspaces(act, 1)
 
 
 def assert_hnf(basis):

@@ -6,8 +6,9 @@ import pytest
 
 from maxgrowth import cli, formulas, recursion
 from maxgrowth.core import hk_action_matrices, make_gk, primes_up_to
+from maxgrowth.derivations import count_derivations, solution_space
 from maxgrowth.formulas import max_count_gk, max_count_hk
-from maxgrowth.modules import ModuleAction
+from maxgrowth.modules import ModuleAction, maximal_submodules, quotient_action, reduce_mod_p
 from maxgrowth.recursion import (
     SplitExtension,
     hk_lattice_extension,
@@ -82,6 +83,44 @@ class TestRecursiveHk:
         for k in range(-10, 11):
             for n in range(2, 501):
                 assert recursive_hk(k, n) == max_count_hk(k, n).count, (k, n)
+
+
+class TestFarPrimes:
+    @pytest.mark.parametrize(
+        "n", [1009, 1009 ** 2, 10 ** 9 + 7, (10 ** 6 + 3) ** 2, 2 ** 61 - 1]
+    )
+    @pytest.mark.parametrize("k", [-3, -2, 0, 1, 2, 5])
+    def test_matches_formula(self, k, n):
+        # the invariant lines come from a quadratic mod p: no prime is too large
+        assert recursive_hk(k, n) == max_count_hk(k, n).count
+
+
+class TestIntegralCocycles:
+    # the G_2..G_6 levels (Z x| G_{i-1}) and the H_-5..H_5 lattice levels
+    LEVELS = [("gk", i) for i in range(2, 7)] + [("hk", k) for k in range(-5, 6)]
+
+    @staticmethod
+    def level(family, i):
+        return recursion._gk_level(i) if family == "gk" else recursion._hk_level(i)
+
+    @pytest.mark.parametrize("family,i", LEVELS)
+    def test_reduced_system_counts_derivations(self, family, i):
+        ext = self.level(family, i)
+        for p in primes_up_to(199):
+            expected = count_derivations(ext.quotient, reduce_mod_p(ext.module, p)).count
+            assert solution_space(ext.cocycles, p).count == expected, p
+
+    @pytest.mark.parametrize("family,i", LEVELS)
+    def test_max_count_split_matches_quotient_path(self, family, i):
+        # every summand through the quotient action, as for a line quotient
+        ext = self.level(family, i)
+        indices = list(primes_up_to(199)) + [p * p for p in primes_up_to(29)]
+        for n in indices:
+            expected = sum(
+                count_derivations(ext.quotient, quotient_action(sub.ambient, sub)).count
+                for sub in maximal_submodules(ext.module, n)
+            )
+            assert max_count_split(ext, lambda _n: 0, n) == expected, n
 
 
 class TestSummandTable:
