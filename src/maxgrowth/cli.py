@@ -3,10 +3,12 @@ non-isomorphism certificates and growth degrees.
 
 Tables and verdicts go to stdout; diagnostics go to stderr.  Exit status
 is 0 when every computed route agrees, 1 on any inter-method
-disagreement, 2 on usage errors, and 3 when an internal enumeration bound
-stops the run early: ``verify`` still prints its summary line for the
-cells it printed, ``table`` writes the rows of every n below the one that
-hit the bound, and the error goes to stderr.  No G_k or H_k input reaches
+disagreement, 2 on usage errors, also from ``noniso`` when some k -+ 2
+has a prime factor of at least MR_BOUND ~ 3.3 * 10^24 (Miller-Rabin is
+proven only below it), and 3 when an enumeration bound stops the run
+early: ``verify`` still prints its summary line for the cells it printed,
+``table`` writes the rows of every n below the one that hit the bound,
+and the error goes to stderr.  No G_k or H_k input reaches
 such a bound: the recursion reads the invariant lines of F_p^2 off a
 quadratic mod p rather than scanning them, so it takes any prime.  The
 environment variable MAXGROWTH_NODE_BUDGET overrides the node budget of

@@ -21,15 +21,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linalg import Matrix
 
 Word = tuple[int, ...]
 
-# Deterministic Miller-Rabin witnesses, valid for every n < 3.3 * 10^24
-# (in particular all 64-bit inputs).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes decide every n < MR_BOUND = psi_13 (Sorenson-Webster, Math. Comp. 2017)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
     67, 71, 73, 79, 83, 89, 97,
@@ -37,15 +35,13 @@ _SMALL_PRIMES = (
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (exact for all 64-bit integers)."""
+    """Primality, proven below MR_BOUND; above it, passing every witness raises ValueError."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
-        if n == q:
-            return True
         if n % q == 0:
-            return False
-    if n < 10_000:  # fully screened above: 97^2 > 10^4
+            return n == q
+    if n < 10_000:  # fully screened above: 101^2 > 10^4
         return True
     d = n - 1
     s = 0
@@ -62,29 +58,76 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MR_BOUND:
+        raise ValueError(f"cannot prove {n} prime: Miller-Rabin is proven only below {MR_BOUND}")
     return True
+
+
+def _brent_divisor(n: int) -> int:
+    """The smaller of two proper cofactors of composite n, by Brent's rho on x^2 + c."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return min(g, n // g)
+
+
+def factor(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, primes increasing: trial division
+    by the primes up to 97 stops once q^2 exceeds what is left, which is then 1
+    or prime; past that, Brent's rho splits off one prime and its whole power."""
+    if n < 1:
+        raise ValueError(f"factor expects n >= 1, got {n}")
+    factors = {}
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            if n > 1:
+                factors[n] = 1
+            return factors
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            factors[q] = e
+    while n > 1:
+        p = n
+        while not is_prime(p):
+            p = _brent_divisor(p)
+        factors[p] = 0
+        while n % p == 0:
+            n //= p
+            factors[p] += 1
+    return dict(sorted(factors.items()))
 
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, by sieve."""
     if limit < 2:
         return []
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, int(limit ** 0.5) + 1):
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(limit) + 1):
         if sieve[q]:
-            sieve[q * q :: q] = False
-    return [int(q) for q in np.flatnonzero(sieve)]
-
-
-def prime_stream():
-    """Yield 2, 3, 5, 7, ... without an upper bound."""
-    yield 2
-    n = 3
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
+            sieve[q * q :: q] = bytes(len(range(q * q, limit + 1, q)))
+    return [q for q, flag in enumerate(sieve) if flag]
 
 
 @dataclass(frozen=True)
@@ -124,18 +167,7 @@ def primes_dividing(n: int) -> PrimeSet:
     """Prime support of |n|; 0 is divisible by every prime."""
     if n == 0:
         return ALL_PRIMES
-    n = abs(n)
-    found = []
-    for q in itertools.chain(_SMALL_PRIMES, itertools.count(101, 2)):
-        if q * q > n:
-            break
-        if n % q == 0:
-            found.append(q)
-            while n % q == 0:
-                n //= q
-    if n > 1:
-        found.append(n)
-    return PrimeSet(tuple(found))
+    return PrimeSet(tuple(factor(abs(n))))
 
 
 def least_symdiff_prime(a: PrimeSet, b: PrimeSet) -> int | None:
@@ -144,28 +176,9 @@ def least_symdiff_prime(a: PrimeSet, b: PrimeSet) -> int | None:
         return None
     if a.is_all_primes or b.is_all_primes:
         finite = b if a.is_all_primes else a
-        for q in prime_stream():
-            if q not in finite:
-                return q
+        return next(q for q in itertools.count(2) if is_prime(q) and q not in finite)
     diff = set(a.primes) ^ set(b.primes)
     return min(diff) if diff else None
-
-
-def _int_nth_root(n: int, e: int) -> int:
-    """Largest r with r**e <= n (n >= 1, e >= 1)."""
-    if e == 1:
-        return n
-    if e == 2:
-        return math.isqrt(n)
-    # Newton's method on ints, from a power of two above the root: the
-    # iterates fall strictly until they reach the root (no float, so no
-    # overflow however large n is)
-    r = 1 << -(-n.bit_length() // e)
-    while True:
-        s = ((e - 1) * r + n // r ** (e - 1)) // e
-        if s >= r:
-            return r
-        r = s
 
 
 @dataclass(frozen=True)
@@ -181,33 +194,17 @@ class IndexClass:
     exponent: int | None = None
 
 
-def _prime_power_class(p: int, e: int) -> IndexClass:
-    kind = "prime" if e == 1 else "prime_square" if e == 2 else "prime_power"
-    return IndexClass(kind, p=p, exponent=e)
+# frozen, so one instance serves every composite index
+_COMPOSITE = IndexClass("composite")
 
 
 def classify_index(n: int) -> IndexClass:
-    if n <= 0:
-        raise ValueError(f"index must be positive, got {n}")
-    if n == 1:
-        return IndexClass("one")
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            return _prime_power_class(q, e) if n == 1 else IndexClass("composite")
-    if is_prime(n):
-        return IndexClass("prime", p=n, exponent=1)
-    # every prime factor of n is at least 101, and so is any e-th root
-    e = 2
-    while 101 ** e <= n:
-        r = _int_nth_root(n, e)
-        if r ** e == n and is_prime(r):
-            return _prime_power_class(r, e)
-        e += 1
-    return IndexClass("composite")
+    factors = factor(n)
+    if len(factors) != 1:
+        return _COMPOSITE if factors else IndexClass("one")
+    ((p, e),) = factors.items()
+    kind = "prime" if e == 1 else "prime_square" if e == 2 else "prime_power"
+    return IndexClass(kind, p=p, exponent=e)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,8 @@ class ModuleAction:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.p is not None and not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
         mats = []
         for m in self.matrices:
             mat = as_int_matrix(m)
@@ -114,8 +116,6 @@ def reduce_mod_p(action: ModuleAction, p: int) -> ModuleAction:
     """Entrywise reduction of an integral action; stays invertible mod p."""
     if action.p is not None:
         raise ValueError("action is already reduced mod a prime")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return ModuleAction(action.rank, p, action.matrices)
 
 

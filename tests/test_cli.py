@@ -358,6 +358,21 @@ class TestNoniso:
             f"certificate: p=3 side=minus m_p(H_{2 ** 64 + 2})=4 m_p(H_2)=13"
         )
 
+    def test_semiprime_near_10_18(self, capsys):
+        # i - 2 = (10^9 + 7)(10^9 + 9): the least witness is 3, on the plus side
+        i = 1000000016000000065
+        code, out, _ = run(["noniso", "--i", str(i), "--j", "3"], capsys)
+        assert code == 0
+        assert out.strip() == f"certificate: p=3 side=plus m_p(H_{i})=7 m_p(H_3)=4"
+
+    def test_prime_beyond_miller_rabin_bound_exits_2(self, capsys):
+        # i - 2 = 2^89 - 1 is prime, but above MR_BOUND primality is not proven
+        i = 2 ** 89 + 1
+        code, out, err = run(["noniso", "--i", str(i), "--j", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestMdeg:
     def test_h2(self, capsys):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import factorint, nextprime
 
 from maxgrowth.core import (
     ALL_PRIMES,
     GroupPresentation,
     GroupSpec,
+    MR_BOUND,
     PrimeSet,
     classify_index,
+    factor,
     hk_action_matrices,
     is_prime,
     least_symdiff_prime,
@@ -61,6 +63,16 @@ class TestPrimes:
         assert not is_prime(2 ** 62 - 1)
         # strong pseudoprime to several bases, caught by the full witness set
         assert not is_prime(3215031751)
+
+    def test_strong_pseudoprimes(self):
+        psi_12 = 318665857834031151167461  # 399165290221 * 798330580441
+        assert not is_prime(psi_12)
+        assert classify_index(psi_12).kind == "composite"
+        # psi_13 passes all 13 witnesses; at or above MR_BOUND that proves nothing
+        with pytest.raises(ValueError):
+            is_prime(MR_BOUND)
+        # a failing witness still proves a number past the bound composite
+        assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
 
     def test_primes_dividing(self):
         assert primes_dividing(12) == PrimeSet((2, 3))
@@ -115,7 +127,7 @@ class TestClassifyIndex:
 
     @pytest.mark.parametrize("q", [101, 103, 9973, 65537, 2 ** 31 - 1])
     def test_powers_of_primes_above_97(self, q):
-        # no small prime divides these, so they take the e-th root branch
+        # no small prime divides these: past q itself they reach Brent's rho
         e = 1
         while q ** e < 2 ** 64:
             cls = classify_index(q ** e)
@@ -133,7 +145,7 @@ class TestClassifyIndex:
 
     @pytest.mark.parametrize("n", [107 ** 200, 103 * 107 ** 200, 101 ** 3 * 103 ** 3])
     def test_beyond_float_range(self, n):
-        # the e-th root is taken on ints: 107^200 is far past the largest float
+        # factored on ints: 107^200 is far past the largest float
         cls = classify_index(n)
         assert (cls.kind, cls.p, cls.exponent) == classification_of(factorint(n))
 
@@ -142,6 +154,39 @@ class TestClassifyIndex:
     def test_against_factorint(self, n):
         cls = classify_index(n)
         assert (cls.kind, cls.p, cls.exponent) == classification_of(factorint(n))
+
+
+class TestFactor:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=2 ** 100 - 1))
+    def test_against_factorint(self, n):
+        try:
+            result = factor(n)
+        except ValueError:
+            # a part past MR_BOUND passed every witness: a prime, or a strong
+            # pseudoprime such as psi_13 = MR_BOUND itself
+            assert n >= MR_BOUND
+        else:
+            assert result == factorint(n)
+            assert max(result, default=1) < MR_BOUND
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=10 ** 6, max_value=10 ** 12 - 10 ** 4),
+        st.integers(min_value=10 ** 6, max_value=10 ** 12 - 10 ** 4),
+    )
+    def test_products_of_two_large_primes(self, a, b):
+        n = nextprime(a) * nextprime(b)
+        assert factor(n) == factorint(n)
+
+    @pytest.mark.parametrize("n", [1, 97 ** 2, 107 ** 200, 103 * 107 ** 200])
+    def test_edge_values(self, n):
+        assert factor(n) == factorint(n)
+
+    @pytest.mark.parametrize("n", [0, -1, -12])
+    def test_rejects_nonpositive(self, n):
+        with pytest.raises(ValueError):
+            factor(n)
 
 
 class TestMakeGk:

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy import factorint
 
 from maxgrowth.core import GroupSpec, classify_index, primes_up_to
 from maxgrowth.formulas import (
@@ -191,6 +192,16 @@ class TestNoniso:
         cert = noniso_certificate(0, 4)
         assert cert is not None
         assert (cert.p, cert.side) == (3, "plus")  # pi(2) = {2} vs pi(6) = {2,3}
+
+    def test_minus_side_witness_found_by_rho(self):
+        # i - 2 is a product of two primes near 10^9, beyond trial division
+        i, j = 1000000710000062523, 3
+        minus = min(set(factorint(i - 2)) ^ set(factorint(j - 2)))
+        plus = min(set(factorint(i + 2)) ^ set(factorint(j + 2)))
+        assert minus < plus
+        cert = noniso_certificate(i, j)
+        assert (cert.p, cert.side) == (minus, "minus")
+        assert (cert.count_i, cert.count_j) == (minus ** 2 + minus + 1, minus + 1)
 
     def test_certificates_never_lie(self):
         for i in range(-5, 8):

@@ -50,6 +50,10 @@ class TestModuleAction:
         with pytest.raises(ValueError):
             ModuleAction(2, 3, (np.array([[3, 0], [0, 1]]),))
 
+    def test_rejects_composite_modulus(self):
+        with pytest.raises(ValueError, match="15 is not prime"):
+            ModuleAction(2, 15, (((1, 0), (3, 2)),))
+
     def test_satisfies_relators(self):
         act = hk_action(4)
         assert act.satisfies(make_gk(2))

@@ -95,6 +95,21 @@ class TestFarPrimes:
         assert recursive_hk(k, n) == max_count_hk(k, n).count
 
 
+class TestStrongPseudoprime:
+    # psi_12 = 399165290221 * 798330580441 passes the first 12 prime
+    # Miller-Rabin witnesses; as a composite non-prime-power, m_n = 0
+    PSI_12 = 318665857834031151167461
+
+    def test_gk_routes_give_zero(self):
+        assert max_count_gk(3, self.PSI_12).count == 0
+        assert recursive_gk(3, self.PSI_12) == 0
+
+    def test_hk_routes_give_zero(self):
+        assert max_count_hk(5, self.PSI_12).count == 0
+        assert max_count_hk(5, self.PSI_12).case_tag == "otherwise"
+        assert recursive_hk(5, self.PSI_12) == 0
+
+
 class TestIntegralCocycles:
     # the G_2..G_6 levels (Z x| G_{i-1}) and the H_-5..H_5 lattice levels
     LEVELS = [("gk", i) for i in range(2, 7)] + [("hk", k) for k in range(-5, 6)]
