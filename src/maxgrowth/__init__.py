@@ -55,7 +55,6 @@ from .lowindex import (
     oracle_max_counts,
 )
 from .modules import (
-    EnumerationBoundExceeded,
     ModuleAction,
     Submodule,
     SubmoduleClassification,
@@ -81,7 +80,6 @@ __all__ = [
     "CocycleSystem",
     "CosetTable",
     "DerivationSpace",
-    "EnumerationBoundExceeded",
     "GroupPresentation",
     "GroupSpec",
     "GrowthValue",

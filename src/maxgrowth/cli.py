@@ -3,15 +3,11 @@ non-isomorphism certificates and growth degrees.
 
 Tables and verdicts go to stdout; diagnostics go to stderr.  Exit status
 is 0 when every computed route agrees, 1 on any inter-method
-disagreement, 2 on usage errors, also from ``noniso`` when some k -+ 2
+disagreement, and 2 on usage errors, also from ``noniso`` when some k -+ 2
 has a prime factor of at least MR_BOUND ~ 3.3 * 10^24 (Miller-Rabin is
-proven only below it), and 3 when an enumeration bound stops the run
-early: ``verify`` still prints its summary line for the cells it printed,
-``table`` writes the rows of every n below the one that hit the bound,
-and the error goes to stderr.  No G_k or H_k input reaches
-such a bound: the recursion reads the invariant lines of F_p^2 off a
-quadratic mod p rather than scanning them, so it takes any prime.  The
-environment variable MAXGROWTH_NODE_BUDGET overrides the node budget of
+proven only below it).  The recursion reads the invariant lines of F_p^2
+off a quadratic mod p rather than scanning them, so it takes any prime.
+The environment variable MAXGROWTH_NODE_BUDGET overrides the node budget of
 the enumeration oracle; a cell whose search exceeds the budget is skipped
 rather than failing the run: ``verify`` reports it as SKIPPED, and
 ``table`` leaves out its oracle row and names the skipped n on stderr.  The oracle runs
@@ -36,12 +32,10 @@ from dataclasses import asdict, dataclass
 from .core import GroupPresentation, GroupSpec, hk_action_matrices, make_gk, make_hk
 from .formulas import max_count_gk, max_count_hk, mdeg, noniso_certificate
 from .lowindex import DEFAULT_NODE_BUDGET, MAX_GENERATORS, MAX_RELATOR_LENGTH, oracle_max_counts
-from .modules import EnumerationBoundExceeded
 from .recursion import recursive_gk, recursive_hk
 
 METHODS = ("formula", "recursion", "oracle")
 USAGE_ERROR = 2
-LIMIT_REACHED = 3
 
 
 @dataclass(frozen=True)
@@ -138,34 +132,28 @@ def cmd_table(args, out=None, err=None) -> int:
         )
     rows = []
     disagree = False
-    limit = None
-    try:
-        for n in range(2, args.nmax + 1):
-            growth = _formula(args.family, args.k, n)
-            counts = {}
-            for method in methods:
-                if method == "formula":
-                    counts[method] = growth.count
-                elif method == "recursion":
-                    counts[method] = _recursion(args.family, args.k, n)
-                elif oracle[n] is None:
-                    print(
-                        f"n={n} oracle=SKIPPED: node budget {budget} exceeded at index {n}",
-                        file=err,
-                    )
-                else:
-                    counts[method] = oracle[n]
-            if len(set(counts.values())) > 1:
-                disagree = True
-            for method, count in counts.items():
-                rows.append(TableRow(n=n, count=count, case=growth.case_tag, method=method))
-    except EnumerationBoundExceeded as exc:
-        limit = exc  # keep the rows of every n below the one that hit the bound
+    for n in range(2, args.nmax + 1):
+        growth = _formula(args.family, args.k, n)
+        counts = {}
+        for method in methods:
+            if method == "formula":
+                counts[method] = growth.count
+            elif method == "recursion":
+                counts[method] = _recursion(args.family, args.k, n)
+            elif oracle[n] is None:
+                print(
+                    f"n={n} oracle=SKIPPED: node budget {budget} exceeded at index {n}",
+                    file=err,
+                )
+            else:
+                counts[method] = oracle[n]
+        if len(set(counts.values())) > 1:
+            disagree = True
+        for method, count in counts.items():
+            rows.append(TableRow(n=n, count=count, case=growth.case_tag, method=method))
     _emit_rows(rows, args.format, out)
     if disagree:
         print("inter-method disagreement detected", file=err)
-    if limit is not None:
-        raise limit
     return 1 if disagree else 0
 
 
@@ -186,46 +174,40 @@ def cmd_verify(args, out=None, err=None) -> int:
             _check_oracle_k(args.family, k)
     budget = _node_budget()
     cells = passes = fails = skips = 0
-    limit = None
-    try:
-        for k in range(k_lo, k_hi + 1):
-            oracle = {}
-            if oracle_nmax >= 2:
-                oracle = oracle_max_counts(
-                    _presentation(args.family, k), oracle_nmax, node_budget=budget
-                )
-            for n in range(2, args.nmax + 1):
-                formula_count = _formula(args.family, k, n).count
-                recursion_count = _recursion(args.family, k, n)
-                values = {formula_count, recursion_count}
-                oracle_text = ""
-                if n in oracle:
-                    oracle_count = oracle[n]
-                    if oracle_count is None:
-                        skips += 1
-                        oracle_text = " oracle=SKIPPED"
-                    else:
-                        values.add(oracle_count)
-                        oracle_text = f" oracle={oracle_count}"
-                verdict = "PASS" if len(values) == 1 else "FAIL"
-                cells += 1
-                if verdict == "PASS":
-                    passes += 1
+    for k in range(k_lo, k_hi + 1):
+        oracle = {}
+        if oracle_nmax >= 2:
+            oracle = oracle_max_counts(
+                _presentation(args.family, k), oracle_nmax, node_budget=budget
+            )
+        for n in range(2, args.nmax + 1):
+            formula_count = _formula(args.family, k, n).count
+            recursion_count = _recursion(args.family, k, n)
+            values = {formula_count, recursion_count}
+            oracle_text = ""
+            if n in oracle:
+                oracle_count = oracle[n]
+                if oracle_count is None:
+                    skips += 1
+                    oracle_text = " oracle=SKIPPED"
                 else:
-                    fails += 1
-                print(
-                    f"k={k} n={n} formula={formula_count} "
-                    f"recursion={recursion_count}{oracle_text} {verdict}",
-                    file=out,
-                )
-    except EnumerationBoundExceeded as exc:
-        limit = exc  # the summary still counts every cell printed so far
+                    values.add(oracle_count)
+                    oracle_text = f" oracle={oracle_count}"
+            verdict = "PASS" if len(values) == 1 else "FAIL"
+            cells += 1
+            if verdict == "PASS":
+                passes += 1
+            else:
+                fails += 1
+            print(
+                f"k={k} n={n} formula={formula_count} "
+                f"recursion={recursion_count}{oracle_text} {verdict}",
+                file=out,
+            )
     print(
         f"summary: cells={cells} pass={passes} fail={fails} oracle_skipped={skips}",
         file=out,
     )
-    if limit is not None:
-        raise limit
     return 0 if fails == 0 else 1
 
 
@@ -312,6 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args starts every call from a fresh namespace
+
+
 def _glue_negative_k(argv: list[str]) -> list[str]:
     # argparse lexes "-4..6" as an option; rejoin "--k -4..6" as "--k=-4..6"
     out = []
@@ -331,15 +316,11 @@ def _glue_negative_k(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_glue_negative_k(list(argv)))
+    args = _PARSER.parse_args(_glue_negative_k(list(argv)))
     try:
         return args.run(args)
-    except EnumerationBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return LIMIT_REACHED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

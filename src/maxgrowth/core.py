@@ -167,7 +167,9 @@ def primes_dividing(n: int) -> PrimeSet:
     """Prime support of |n|; 0 is divisible by every prime."""
     if n == 0:
         return ALL_PRIMES
-    return PrimeSet(tuple(factor(abs(n))))
+    support = object.__new__(PrimeSet)  # factor has proven every prime: skip the re-check
+    object.__setattr__(support, "primes", tuple(factor(abs(n))))
+    return support
 
 
 def least_symdiff_prime(a: PrimeSet, b: PrimeSet) -> int | None:

@@ -11,20 +11,19 @@ and p e_j at every other column j.  That matrix is already in HNF, which
 makes equality, ordering and deduplication exact.
 
 Matrices are tuples of row tuples of Python ints, as in :mod:`.linalg`.
-Invariant subspaces of rank >= 3 are found by brute force over normalized
-(reduced row echelon form) bases.  The sizes there are tiny and the
-enumeration doubles as its own oracle.  The rank-2 lines, met at every
-prime the recursion samples, are eigenlines: the line through (1, t) is
-invariant under [[a, b], [c, d]] exactly when c + (d - a)t - bt^2 = 0 mod
-p, and the line through (0, 1) exactly when b = 0 mod p.  A non-scalar
-matrix has at most two such lines, the roots of that quadratic, so no
-prime is too large; only an all-scalar action, which fixes all p + 1
-lines, and the rank >= 3 enumeration are held to ENUMERATION_BOUND.
+Route 2 needs two ranks only: G_k = Z x| G_{k-1} acts on Z and H_k =
+Z^2 x| G_2 acts on Z^2, so ModuleAction takes rank 1 or 2.  Rank 1 has
+no subspace strictly between 0 and the whole space.  The rank-2 lines
+are eigenlines: the line through (1, t) is invariant under [[a, b], [c,
+d]] exactly when c + (d - a)t - bt^2 = 0 mod p, and the line through
+(0, 1) exactly when b = 0 mod p.  A non-scalar matrix has at most two
+such lines, the roots of that quadratic, so no prime is too large; only
+an all-scalar action, which fixes all p + 1 lines, is held to
+ENUMERATION_BOUND, and past it invariant_subspaces raises ValueError.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import mul
 
@@ -44,13 +43,10 @@ from .linalg import (
 ENUMERATION_BOUND = 10 ** 6
 
 
-class EnumerationBoundExceeded(ValueError):
-    """An exhaustive enumeration would exceed its fixed size bound."""
-
-
 @dataclass(frozen=True, eq=False)
 class ModuleAction:
-    """Rank-r lattice or F_p^r with one acting matrix per group generator.
+    """Rank-1 or rank-2 lattice, or F_p^r, with one acting matrix per
+    group generator.
 
     ``p is None`` means the integral, not yet reduced module; matrices are
     then required to be unimodular, so they stay invertible mod every p.
@@ -63,8 +59,8 @@ class ModuleAction:
     matrices: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        if self.rank not in (1, 2):
+            raise ValueError(f"rank must be 1 or 2, got {self.rank}")
         if self.p is not None and not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         mats = []
@@ -166,25 +162,6 @@ def _submodule_from_subspace(action: ModuleAction, basis) -> Submodule:
     )
 
 
-def _rref_bases(p: int, r: int, d: int):
-    """All RREF bases of d-dimensional subspaces of F_p^r (d >= 1), one per
-    subspace."""
-    for pivots in itertools.combinations(range(r), d):
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(r)
-            if j > pivots[i] and j not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free)):
-            basis = [[0] * r for _ in range(d)]
-            for i, c in enumerate(pivots):
-                basis[i][c] = 1
-            for (i, j), v in zip(free, values):
-                basis[i][j] = v
-            yield tuple(tuple(row) for row in basis)
-
-
 def _sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a mod an odd prime p, or None for a non-residue
     (Tonelli-Shanks; H. Cohen, A Course in Computational Algebraic Number
@@ -232,22 +209,21 @@ def _eigenslopes(mat: Matrix, p: int) -> list[int | None]:
     return list({(d - a + root) * half % p, (d - a - root) * half % p})
 
 
-def _require_enumerable(p: int, r: int) -> None:
-    if p ** r > ENUMERATION_BOUND:
-        raise EnumerationBoundExceeded(f"enumeration bound exceeded: {p}^{r} > {ENUMERATION_BOUND}")
-
-
 def _invariant_lines_rank2(action: ModuleAction) -> list[tuple[tuple[int, int], ...]]:
     """Take the candidate lines from the first non-scalar matrix's
     quadratic, then filter them through every matrix.  At p = 2 the three
     lines are scanned; an all-scalar action fixes every one of the p + 1
-    lines, which are enumerated up to ENUMERATION_BOUND."""
+    lines, which are listed only while p^2 <= ENUMERATION_BOUND."""
     p = action.p
     first = next((m for m in action.matrices if m[0][1] or m[1][0] or m[0][0] != m[1][1]), None)
     if p == 2:
         slopes = [0, 1, None]
     elif first is None:
-        _require_enumerable(p, 2)
+        if p * p > ENUMERATION_BOUND:
+            raise ValueError(
+                f"an all-scalar action fixes all {p} + 1 lines: "
+                f"enumeration bound exceeded: {p}^2 > {ENUMERATION_BOUND}"
+            )
         slopes = [*range(p), None]
     else:
         slopes = _eigenslopes(first, p)
@@ -275,22 +251,13 @@ def invariant_subspaces(action: ModuleAction, codim: int) -> list[Submodule]:
     in canonical order (lexicographic by RREF basis)."""
     if action.p is None:
         raise ValueError("invariant subspaces are computed mod p; reduce first")
-    p, r = action.p, action.rank
+    r = action.rank
     if not 1 <= codim <= r:
         raise ValueError(f"codim must lie in 1..{r}")
     if codim == r:
         return [_submodule_from_subspace(action, ())]  # only the zero subspace
-    if r == 2:
-        found = _invariant_lines_rank2(action)
-    else:
-        _require_enumerable(p, r)
-        found = [
-            basis
-            for basis in _rref_bases(p, r, r - codim)
-            if _is_invariant(action, basis, _pivots(basis))
-        ]
-    found.sort()
-    return [_submodule_from_subspace(action, basis) for basis in found]
+    lines = sorted(_invariant_lines_rank2(action))  # r = 2, codim = 1
+    return [_submodule_from_subspace(action, basis) for basis in lines]
 
 
 def quotient_action(action: ModuleAction, sub: Submodule) -> ModuleAction:
@@ -312,20 +279,12 @@ def quotient_action(action: ModuleAction, sub: Submodule) -> ModuleAction:
     return ModuleAction(len(comp), p, tuple(mats))
 
 
-def _is_simple(action: ModuleAction) -> bool:
-    """No invariant subspace strictly between 0 and the whole space."""
-    for codim in range(1, action.rank):
-        if invariant_subspaces(action, codim):
-            return False
-    return True
-
-
 def maximal_submodules(action: ModuleAction, n: int) -> list[Submodule]:
     """All maximal submodules of Z^r of index n under an integral action.
 
     Empty unless n = p^c with c <= r.  Codimension-1 subspaces always give
-    maximal submodules; deeper ones are maximal exactly when the quotient
-    module is simple (for r = 2 and n = p^2: no invariant line exists).
+    maximal submodules; at r = 2 and n = p^2 the one candidate, pZ^2, is
+    maximal exactly when no invariant line exists.
     """
     if action.p is not None:
         raise ValueError("maximal_submodules expects the integral action")
@@ -337,12 +296,9 @@ def maximal_submodules(action: ModuleAction, n: int) -> list[Submodule]:
     if cls.exponent > action.rank:
         return []
     reduced = reduce_mod_p(action, cls.p)
-    candidates = invariant_subspaces(reduced, cls.exponent)
-    if cls.exponent == 1:
-        return candidates
-    return [
-        sub for sub in candidates if _is_simple(quotient_action(reduced, sub))
-    ]
+    if cls.exponent == 2 and invariant_subspaces(reduced, 1):
+        return []
+    return invariant_subspaces(reduced, cls.exponent)
 
 
 @dataclass(frozen=True)

@@ -3,25 +3,12 @@ import json
 import pytest
 
 from maxgrowth import cli
-from maxgrowth.modules import EnumerationBoundExceeded
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def bound_hit_at(monkeypatch, stop):
-    """Make the recursion route raise EnumerationBoundExceeded from n = stop on."""
-    recursion = cli._recursion
-
-    def bounded(family, k, n):
-        if n >= stop:
-            raise EnumerationBoundExceeded(f"enumeration bound exceeded at n={n}")
-        return recursion(family, k, n)
-
-    monkeypatch.setattr(cli, "_recursion", bounded)
 
 
 class TestTable:
@@ -156,16 +143,6 @@ class TestTable:
         assert code == 0
         assert len(out.splitlines()) == 1 + 2 * 2
 
-    def test_enumeration_bound_exits_3(self, capsys, monkeypatch):
-        # rows for every n below the one that hits the bound, then the error
-        bound_hit_at(monkeypatch, 7)
-        code, out, err = run(["table", "--family", "hk", "--k", "1", "--nmax", "10"], capsys)
-        assert code == 3
-        lines = out.splitlines()
-        assert len(lines) == 1 + 2 * 5
-        assert lines[-2:] == ["6,0,otherwise,formula", "6,0,otherwise,recursion"]
-        assert err == "error: enumeration bound exceeded at n=7\n"
-
     def test_hk_recursion_past_p_1009(self, capsys):
         # the H_k lines come from a quadratic mod p, so no prime stops the run
         code, out, err = run(["table", "--family", "hk", "--k", "1", "--nmax", "1010"], capsys)
@@ -258,16 +235,6 @@ class TestVerify:
             ["verify", "--family", "gk", "--k", "5..2", "--nmax", "4"], capsys
         )
         assert code == 2
-
-    def test_enumeration_bound_exits_3(self, capsys, monkeypatch):
-        # the cells before the one that hits the bound still count
-        bound_hit_at(monkeypatch, 7)
-        code, out, err = run(["verify", "--family", "hk", "--k", "1", "--nmax", "10"], capsys)
-        assert code == 3
-        lines = out.splitlines()
-        assert lines[-2] == "k=1 n=6 formula=0 recursion=0 PASS"
-        assert lines[-1] == "summary: cells=5 pass=5 fail=0 oracle_skipped=0"
-        assert err == "error: enumeration bound exceeded at n=7\n"
 
     def test_hk_recursion_past_p_1009(self, capsys):
         code, out, err = run(["verify", "--family", "hk", "--k", "1", "--nmax", "1010"], capsys)
@@ -398,3 +365,22 @@ class TestMdeg:
         )
         assert code == 0
         assert out.startswith(f"family=hk k={10 ** 19} exact=1 ")
+
+
+class TestRepeatedCalls:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["table", "--family", "gk", "--k", "2", "--nmax", "4"], ["--format", "jsonl"]),
+            (["table", "--family", "hk", "--k", "1", "--nmax", "4"], ["--methods", "formula"]),
+            (["verify", "--family", "gk", "--k", "2", "--nmax", "4"], ["--oracle-nmax", "4"]),
+            (["noniso", "--i", "2", "--j", "3"], ["--format", "json"]),
+            (["mdeg", "--family", "hk", "--k", "2"], ["--limit", "200"]),
+        ],
+    )
+    def test_defaults_do_not_leak_between_calls(self, capsys, argv, option):
+        # one process, back to back: a plain call after one with an option
+        # prints what it printed before that call
+        first = run(argv, capsys)
+        assert run(argv + option, capsys) != first
+        assert run(argv, capsys) == first

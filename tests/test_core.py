@@ -80,6 +80,14 @@ class TestPrimes:
         assert primes_dividing(0) is ALL_PRIMES
         assert primes_dividing(1) == PrimeSet(())
 
+    def test_prime_set_checks_its_primes(self):
+        with pytest.raises(ValueError, match="4 is not prime"):
+            PrimeSet((4,))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PrimeSet((3, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PrimeSet((2, 2))
+
     @given(st.integers(min_value=-(10 ** 6), max_value=10 ** 6))
     def test_primes_dividing_sign_invariant(self, n):
         assert primes_dividing(n) == primes_dividing(-n)

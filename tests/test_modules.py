@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from maxgrowth.core import hk_action_matrices, make_gk, primes_up_to
 from maxgrowth.linalg import int_det
 from maxgrowth.modules import (
-    EnumerationBoundExceeded,
     ModuleAction,
     _sqrt_mod,
     classify_rank2_submodules,
@@ -49,6 +48,13 @@ class TestModuleAction:
     def test_rejects_singular_mod_p(self):
         with pytest.raises(ValueError):
             ModuleAction(2, 3, (np.array([[3, 0], [0, 1]]),))
+
+    def test_rejects_ranks_other_than_1_and_2(self):
+        # route 2 meets rank 1 (G_k) and rank 2 (H_k) only
+        with pytest.raises(ValueError, match="rank must be 1 or 2, got 0"):
+            ModuleAction(0, None, ())
+        with pytest.raises(ValueError, match="rank must be 1 or 2, got 3"):
+            ModuleAction(3, 3, (((1, 1, 0), (0, 1, 1), (0, 0, 1)),))
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError, match="15 is not prime"):
@@ -122,9 +128,6 @@ class TestInvariantSubspaces:
         for p, r, codim, expected in [
             (3, 2, 1, 4),       # (3^2-1)/(3-1)
             (5, 2, 1, 6),
-            (3, 3, 1, 13),      # [3 choose 2]_3
-            (3, 3, 2, 13),      # [3 choose 1]_3
-            (2, 3, 1, 7),
         ]:
             act = ModuleAction(r, p, (np.eye(r, dtype=np.int64),))
             assert len(invariant_subspaces(act, codim)) == expected
@@ -161,15 +164,6 @@ class TestInvariantSubspaces:
             (sub,) = invariant_subspaces(act, r)
             assert sub.subspace_basis == ()
             assert sub.index == p ** r
-
-    def test_rank3_invariant_flag(self):
-        # block upper-triangular action fixing e1 and the plane <e1, e2>
-        m = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
-        act = ModuleAction(3, 3, (m,))
-        lines = [s.subspace_basis for s in invariant_subspaces(act, 2)]
-        assert lines == [((1, 0, 0),)]
-        planes = [s.subspace_basis for s in invariant_subspaces(act, 1)]
-        assert planes == [((1, 0, 0), (0, 1, 0))]
 
 
 def eigenline_cases(p):
@@ -235,11 +229,6 @@ class TestEigenlines:
         got = invariant_subspaces(scalar_first, 1)
         assert [s.subspace_basis for s in got] == [((1, 1),), ((1, p - 1),)]
 
-    def test_bound_kept_for_rank3(self):
-        act = ModuleAction(3, 101, (((0, 1, 0), (0, 0, 1), (1, 0, 0)),))
-        with pytest.raises(EnumerationBoundExceeded):
-            invariant_subspaces(act, 1)
-
 
 def assert_hnf(basis):
     # echelon with positive pivots, entries above each pivot reduced
@@ -255,9 +244,10 @@ def assert_hnf(basis):
 
 class TestSubmoduleData:
     def test_lattice_bases_in_hnf_with_correct_index(self):
-        # H_k on Z^2, and every subspace of F_p^3 under the identity action
+        # H_k on Z^2, and every line of F_p^2 under the identity action,
+        # which adds the line through (0, 1) and its HNF row (0, 1)
         actions = [reduce_mod_p(hk_action(k), p) for k in range(-6, 7) for p in (2, 3, 5, 7)]
-        actions += [ModuleAction(3, p, (np.eye(3, dtype=np.int64),)) for p in (2, 3)]
+        actions += [ModuleAction(2, p, (np.eye(2, dtype=np.int64),)) for p in (2, 3)]
         for red in actions:
             p, r = red.p, red.rank
             for codim in range(1, r + 1):
