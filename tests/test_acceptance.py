@@ -36,6 +36,8 @@ HK_ORACLE_NS = (2, 3, 4, 5, 7, 9)
 HK_REQUIRED_AT_9 = {0, 1, 2, 3}
 # n = 25 takes the coprime p^2 branch at p = 5 for these k
 HK_REQUIRED_AT_25 = (-1, 0, 1)
+# and the otherwise branch (m_25 = 0) for these
+HK_OTHERWISE_AT_25 = (-2,)
 
 
 @contextmanager
@@ -65,7 +67,7 @@ def hk_oracle():
     results = {}
     for k in HK_ORACLE_KS:
         pres, _, _ = make_hk(k)
-        ns = HK_ORACLE_NS + ((25,) if k in HK_REQUIRED_AT_25 else ())
+        ns = HK_ORACLE_NS + ((25,) if k in HK_REQUIRED_AT_25 + HK_OTHERWISE_AT_25 else ())
         counts = oracle_max_counts(pres, max(ns))
         for n in ns:
             results[(k, n)] = "SKIPPED" if counts[n] is None else counts[n]
@@ -116,6 +118,10 @@ def test_criterion_4_hk_oracle_agreement(hk_oracle):
         for k in HK_REQUIRED_AT_25:
             assert max_count_hk(k, 25).case_tag == "p_square_coprime"
             assert results[(k, 25)] == 25, (k, results[(k, 25)])
+        for k in HK_OTHERWISE_AT_25:
+            expected = max_count_hk(k, 25)
+            assert expected.case_tag == "otherwise"
+            assert results[(k, 25)] == expected.count, (k, results[(k, 25)])
 
 
 def test_criterion_5_derivation_closed_forms():

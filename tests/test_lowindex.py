@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import itertools
 import time
 
 import pytest
@@ -20,6 +22,25 @@ from maxgrowth.lowindex import (
 PASS_GROUPS = {f"G_{k}": make_gk(k) for k in (2, 3, 4)} | {
     f"H_{k}": make_hk(k)[0] for k in range(-3, 4)
 }
+
+
+def permuted(pres, order):
+    """The presentation with its generators listed in ``order``."""
+    new_index = {old: new + 1 for new, old in enumerate(order)}
+    relators = tuple(
+        tuple(new_index[l - 1] if l > 0 else -new_index[-l - 1] for l in rel)
+        for rel in pres.relators
+    )
+    return GroupPresentation(tuple(pres.generators[g] for g in order), relators)
+
+
+def counts_from_tables(tables, nmax):
+    """m_n for n = 2..nmax from an ``upto``, ``classes`` search."""
+    counts = dict.fromkeys(range(2, nmax + 1), 0)
+    for t in tables:
+        if is_primitive(t):
+            counts[t.n] += class_size(t)
+    return counts
 
 
 def rerooted(table, r):
@@ -312,3 +333,74 @@ class TestClasses:
                 low_index_subgroups(pres, n, node_budget=nodes, classes=classes)
                 with pytest.raises(SearchBudgetExceeded):
                     low_index_subgroups(pres, n, node_budget=nodes - 1, classes=classes)
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize(
+        "pres, nmax",
+        [(make_hk(k)[0], 8) for k in (-2, 0, 3)] + [(make_gk(3), 10)],
+        ids=["H_-2", "H_0", "H_3", "G_3"],
+    )
+    def test_generator_order_does_not_change_the_counts(self, pres, nmax):
+        # the oracle searches a reordered copy, so m_n must not depend on
+        # the generator order: every order gives the counts of the
+        # caller's order, searched as given and through the oracle
+        tables = low_index_subgroups(pres, nmax, upto=True, classes=True)
+        expected = counts_from_tables(tables, nmax)
+        assert oracle_max_counts(pres, nmax) == expected
+        for order in itertools.permutations(range(pres.num_generators)):
+            reordered = permuted(pres, order)
+            searched = low_index_subgroups(reordered, nmax, upto=True, classes=True)
+            assert counts_from_tables(searched, nmax) == expected, order
+            assert oracle_max_counts(reordered, nmax) == expected, order
+
+    def test_budget_counts_the_reordered_search(self):
+        # H_1 is searched as (a, t1, t2, b): at index 3 that takes 95 nodes,
+        # where the caller's order (t1, t2, b, a) takes 78
+        pres, _, _ = make_hk(1)
+        low_index_subgroups(pres, 3, node_budget=78, classes=True)
+        assert oracle_max_count(pres, 3, node_budget=95) == max_count_hk(1, 3).count
+        with pytest.raises(SearchBudgetExceeded):
+            oracle_max_count(pres, 3, node_budget=94)
+        assert oracle_max_counts(pres, 3, node_budget=94) == {2: 3, 3: None}
+
+
+class TestCanonicalSearch:
+    """The search contract, pinned on more groups than H_1: the exact node
+    count of each index-n class search, and the exact table list of one
+    ``upto`` class pass to index 10."""
+
+    @pytest.mark.parametrize(
+        "pres, budgets",
+        [
+            (make_hk(3)[0], (22, 93, 284, 752, 1700, 3238)),
+            (make_gk(4), (37, 187, 594, 1403, 2659, 4368)),
+        ],
+        ids=["H_3", "G_4"],
+    )
+    def test_minimal_node_budgets(self, pres, budgets):
+        for n, nodes in zip(range(2, 8), budgets):
+            low_index_subgroups(pres, n, node_budget=nodes, classes=True)
+            with pytest.raises(SearchBudgetExceeded):
+                low_index_subgroups(pres, n, node_budget=nodes - 1, classes=True)
+
+    # (number of tables, first 16 hex digits of the sha256 of the repr of
+    # their entries, in order)
+    PASS_DIGESTS = {
+        "G_2": (40, "dab7bf26f101a2e5"),
+        "G_3": (137, "5593e36729e3133d"),
+        "G_4": (457, "64d7d329107ad67c"),
+        "H_-3": (81, "7e7fa8aa813354ac"),
+        "H_-2": (227, "3dc8ea409c4f01cb"),
+        "H_-1": (81, "70b611d325501369"),
+        "H_0": (145, "b16b740aaabb5d7a"),
+        "H_1": (58, "28dfe04b55f65161"),
+        "H_2": (326, "3b0cf6bdd9eb59e8"),
+        "H_3": (59, "f3d0635b8b85aa59"),
+    }
+
+    @pytest.mark.parametrize("name", PASS_GROUPS)
+    def test_class_pass_tables(self, name):
+        tables = low_index_subgroups(PASS_GROUPS[name], 10, upto=True, classes=True)
+        digest = hashlib.sha256(repr([t.entries for t in tables]).encode()).hexdigest()
+        assert (len(tables), digest[:16]) == self.PASS_DIGESTS[name]
