@@ -11,7 +11,9 @@ The system can also be built once over Z, from an integral action by
 unimodular matrices, and reduced mod each prime: reduction mod p is a
 ring map, and the integral inverse of a unimodular matrix reduces to its
 inverse mod p, so the reduced rows are the rows built from the reduced
-action.
+action.  An integral system computes its Smith invariants d_1 | d_2 | ...
+once, when it is built; its rank mod p is then #{i : p does not divide
+d_i} at every prime, so no elimination runs per prime.
 
 Unknown layout: the coordinates of d(g_i) occupy the contiguous block
 i*dim .. (i+1)*dim - 1, generators in presentation order; block rows are
@@ -21,12 +23,12 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GroupPresentation
-from .linalg import Matrix, identity, mat_mul, rank_mod
+from .core import GroupPresentation, is_prime
+from .linalg import Matrix, identity, mat_mul, rank_mod, smith_invariants
 from .modules import ModuleAction
 
 BRUTE_FORCE_BOUND = 10 ** 6
@@ -35,12 +37,14 @@ BRUTE_FORCE_BOUND = 10 ** 6
 @dataclass(frozen=True, eq=False)
 class CocycleSystem:
     """Stacked relator conditions: rows . unknowns = 0 over F_p, or over
-    Z when ``p is None``."""
+    Z when ``p is None``; an integral system also holds the Smith
+    invariants of its rows (None over F_p)."""
 
     p: int | None
     num_generators: int
     dim: int
     rows: Matrix  # num_relators * dim rows of num_generators * dim entries
+    invariants: tuple[int, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(map(int, row)) for row in self.rows)
@@ -49,6 +53,7 @@ class CocycleSystem:
             if len(row) != expected:
                 raise ValueError(f"system has {len(row)} columns, expected {expected}")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "invariants", smith_invariants(rows) if self.p is None else None)
 
     @property
     def num_unknowns(self) -> int:
@@ -113,11 +118,18 @@ def _require_reduced(action: ModuleAction) -> None:
 
 
 def solution_space(system: CocycleSystem, p: int) -> DerivationSpace:
-    """Solutions mod p of a system over F_p, or of an integral system
-    reduced mod p: p^(free unknowns), by Gaussian elimination over F_p."""
-    if system.p not in (None, p):
+    """Solutions mod a prime p: p^(free unknowns).  The rank is read off
+    the Smith invariants of an integral system, and found by Gaussian
+    elimination over F_p for a system over F_p."""
+    if not is_prime(p):
+        raise ValueError(f"derivations are counted mod a prime, got p={p}")
+    if system.p is None:
+        rank = sum(1 for d in system.invariants if d % p)
+    elif system.p == p:
+        rank = rank_mod(system.rows, p)
+    else:
         raise ValueError(f"system is over F_{system.p}, not F_{p}")
-    return DerivationSpace(p=p, dimension=system.num_unknowns - rank_mod(system.rows, p))
+    return DerivationSpace(p=p, dimension=system.num_unknowns - rank)
 
 
 def count_derivations(presentation: GroupPresentation, action: ModuleAction) -> DerivationSpace:

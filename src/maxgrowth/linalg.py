@@ -4,14 +4,20 @@ A matrix is a tuple of row tuples of Python ints: immutable, so results
 can be shared and memoized, and exact at any size of entry or modulus.
 Inputs may be any nested sequence of ints, arrays included.
 
-Everything here works on tiny dense matrices (rank <= 3 in practice, plus
-cocycle systems with a few dozen rows), so the implementations favour
-exactness and determinism over asymptotics: cofactor determinants and
-plain Gaussian elimination with first-nonzero pivoting.
+Everything here works on tiny dense matrices (rank <= 2 in practice, plus
+cocycle systems with a few hundred rows), so the implementations favour
+exactness and determinism over asymptotics: cofactor determinants, plain
+Gaussian elimination over F_p with first-nonzero pivoting, and one exact
+integer elimination, smith_invariants, for the Smith invariants of an
+integral system.  Those invariants give the rank of the system mod every
+prime at once: M = U diag(d_1, ..., d_r) V with U, V unimodular, so
+rank_p(M) = #{i : p does not divide d_i} (H. Cohen, A Course in
+Computational Algebraic Number Theory, section 2.4).
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -123,3 +129,47 @@ def reduce_by_rref(vec, rref, pivots: list[int], p: int) -> tuple[int, ...]:
 def in_row_span_mod(vec, rref, pivots: list[int], p: int) -> bool:
     return not any(reduce_by_rref(vec, rref, pivots, p))
 
+
+def smith_invariants(mat) -> tuple[int, ...]:
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Integer elimination, column by column: Euclid's algorithm on the rows
+    leaves one row with a nonzero entry d in the column, and column
+    operations reduce the rest of that row mod d; a nonzero remainder is
+    swapped into the column and the step repeats with a smaller d.  The
+    diagonal this leaves is brought to divisibility order by replacing
+    pairs with their gcd and lcm.  Exact at any size of entry; the rank
+    over Q is the number of invariants.
+    """
+    rows = [[int(x) for x in row] for row in mat]
+    diagonal = []
+    for c in range(len(rows[0]) if rows else 0):
+        while True:
+            rows = [row for row in rows if any(row)]
+            live = [row for row in rows if row[c]]
+            if not live:
+                break
+            pivot = min(live, key=lambda row: abs(row[c]))
+            d = pivot[c]
+            if len(live) > 1:
+                for i, row in enumerate(rows):
+                    if row is not pivot and row[c]:
+                        q = row[c] // d
+                        rows[i] = [x - q * y for x, y in zip(row, pivot)]
+                continue
+            # every other row is 0 in column c, so column operations
+            # against column c change the pivot row alone
+            pivot[c + 1:] = [x % d for x in pivot[c + 1:]]
+            rest = [j for j in range(c + 1, len(pivot)) if pivot[j]]
+            if not rest:
+                diagonal.append(abs(d))
+                rows = [row for row in rows if row is not pivot]
+                break
+            j = min(rest, key=lambda j: abs(pivot[j]))
+            for row in rows:
+                row[c], row[j] = row[j], row[c]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
+    return tuple(diagonal)

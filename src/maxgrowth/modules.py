@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .core import GroupPresentation, classify_index, hk_action_matrices, is_prime
+from .core import GroupPresentation, IndexClass, classify_index, hk_action_matrices, is_prime
 from .linalg import (
     Matrix,
     as_int_matrix,
@@ -279,18 +279,21 @@ def quotient_action(action: ModuleAction, sub: Submodule) -> ModuleAction:
     return ModuleAction(len(comp), p, tuple(mats))
 
 
-def maximal_submodules(action: ModuleAction, n: int) -> list[Submodule]:
+def maximal_submodules(
+    action: ModuleAction, n: int, *, index_class: IndexClass | None = None
+) -> list[Submodule]:
     """All maximal submodules of Z^r of index n under an integral action.
 
     Empty unless n = p^c with c <= r.  Codimension-1 subspaces always give
     maximal submodules; at r = 2 and n = p^2 the one candidate, pZ^2, is
-    maximal exactly when no invariant line exists.
+    maximal exactly when no invariant line exists.  A caller that has
+    already classified n passes ``index_class=classify_index(n)``.
     """
     if action.p is not None:
         raise ValueError("maximal_submodules expects the integral action")
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
-    cls = classify_index(n)
+    cls = classify_index(n) if index_class is None else index_class
     if cls.kind not in ("prime", "prime_square", "prime_power"):
         return []
     if cls.exponent > action.rank:

@@ -12,10 +12,14 @@ Each chain level -- Z x| G_{i-1} for G_i, and the lattice extension for
 H_k -- is built and validated once and then memoized, so a sweep over n
 repeats only the work that depends on n.  The memo is safe to share: its
 values are frozen dataclasses holding tuples.  A level also builds its
-cocycle system over Z once.  When the maximal submodule is pN itself (the
-zero subspace mod p), the quotient N/pN is N reduced mod p, so its
-derivations are counted from that one system reduced mod p, with no
-quotient action built per prime.
+cocycle system over Z once, with the Smith invariants of that system.
+When the maximal submodule is pN itself (the zero subspace mod p), the
+quotient N/pN is N reduced mod p, so its derivations number p^(unknowns
+- #{invariants d : p does not divide d}), read off the level's
+invariants with no quotient action or elimination per prime: (2,) *
+(i - 2) for the G_i level, (1, |k - 2|) for the H_k level with k != 2,
+and (1,) for H_2.  Each cell classifies n once and hands the class down
+the chain.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import GroupPresentation, hk_action_matrices, is_prime, make_gk
+from .core import GroupPresentation, IndexClass, classify_index, hk_action_matrices, make_gk
 from .derivations import CocycleSystem, build_system, count_derivations, solution_space
 from .modules import ModuleAction, maximal_submodules, quotient_action
 
@@ -47,14 +51,19 @@ class SplitExtension:
 
 
 def max_count_split(
-    ext: SplitExtension, m_n_of_quotient: Callable[[int], int], n: int
+    ext: SplitExtension,
+    m_n_of_quotient: Callable[[int], int],
+    n: int,
+    *,
+    index_class: IndexClass | None = None,
 ) -> int:
     """m_n of the extension: quotient count plus one derivation count per
-    maximal submodule of index n."""
+    maximal submodule of index n.  A caller that has already classified n
+    passes ``index_class=classify_index(n)``."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     total = m_n_of_quotient(n)
-    for sub in maximal_submodules(ext.module, n):
+    for sub in maximal_submodules(ext.module, n, index_class=index_class):
         if sub.subspace_basis:
             induced = quotient_action(sub.ambient, sub)
             total += count_derivations(ext.quotient, induced).count
@@ -86,6 +95,16 @@ def _hk_level(k: int) -> SplitExtension:
     return hk_lattice_extension(k)
 
 
+def _gk_chain(k: int, n: int, cls: IndexClass) -> int:
+    # base case: the maximal subgroups of Z are exactly the pZ
+    count = 1 if cls.kind == "prime" else 0
+    for i in range(2, k + 1):
+        count = max_count_split(
+            _gk_level(i), lambda _n, value=count: value, n, index_class=cls
+        )
+    return count
+
+
 def recursive_gk(k: int, n: int) -> int:
     """m_n(G_k) by iterating the split-extension identity up the chain
     G_1 < G_2 < ... < G_k."""
@@ -93,11 +112,7 @@ def recursive_gk(k: int, n: int) -> int:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    # base case: the maximal subgroups of Z are exactly the pZ
-    count = 1 if is_prime(n) else 0
-    for i in range(2, k + 1):
-        count = max_count_split(_gk_level(i), lambda _n, value=count: value, n)
-    return count
+    return _gk_chain(k, n, classify_index(n))
 
 
 def hk_lattice_extension(k: int) -> SplitExtension:
@@ -110,4 +125,6 @@ def recursive_hk(k: int, n: int) -> int:
     """m_n(H_k) from the G_2 level of the chain plus lattice submodule data."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return max_count_split(_hk_level(k), lambda m: recursive_gk(2, m), n)
+    cls = classify_index(n)
+    m_n_g2 = _gk_chain(2, n, cls)
+    return max_count_split(_hk_level(k), lambda _n: m_n_g2, n, index_class=cls)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from maxgrowth.core import primes_up_to
 from maxgrowth.linalg import (
     int_det,
     int_inverse_unimodular,
@@ -8,6 +11,7 @@ from maxgrowth.linalg import (
     rank_mod,
     reduce_by_rref,
     rref_mod,
+    smith_invariants,
 )
 
 
@@ -54,6 +58,42 @@ def test_reduce_by_rref_membership():
     red, pivots = rref_mod(basis, 5)
     assert not any(reduce_by_rref([2, 3], red, pivots, 5))  # 2*(1,4) = (2,3)
     assert any(reduce_by_rref([1, 1], red, pivots, 5))
+
+
+def _int_matrices(max_rows: int, max_cols: int, bound: int):
+    shapes = st.tuples(st.integers(1, max_rows), st.integers(1, max_cols))
+    return shapes.flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+
+
+class TestSmithInvariants:
+    def test_examples(self):
+        assert smith_invariants([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == (2, 6, 12)
+        assert smith_invariants([[2, 0], [0, 3]]) == (1, 6)
+        assert smith_invariants([[0, 1], [-1, 7]]) == (1, 1)
+        assert smith_invariants([[4], [6]]) == (2,)
+        assert smith_invariants([[0, 0, 0]]) == ()
+        assert smith_invariants([]) == ()
+
+    def test_entries_past_int64(self):
+        big = 2 ** 70
+        assert smith_invariants([[big, 0], [0, big + 1]]) == (1, big * (big + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_int_matrices(8, 6, 6))
+    @example([])
+    @example([[0] * 6] * 8)
+    def test_rank_mod_every_small_prime(self, mat):
+        invariants = smith_invariants(mat)
+        assert all(d > 0 for d in invariants)
+        assert all(b % a == 0 for a, b in zip(invariants, invariants[1:]))
+        for p in primes_up_to(50):
+            assert sum(1 for d in invariants if d % p) == rank_mod(mat, p), p
 
 
 class TestBeyondInt64:

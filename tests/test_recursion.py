@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from maxgrowth import cli, formulas, recursion
-from maxgrowth.core import hk_action_matrices, make_gk, primes_up_to
+from maxgrowth import cli, formulas, modules, recursion
+from maxgrowth.core import classify_index, hk_action_matrices, make_gk, primes_up_to
 from maxgrowth.derivations import count_derivations, solution_space
 from maxgrowth.formulas import max_count_gk, max_count_hk
 from maxgrowth.modules import ModuleAction, maximal_submodules, quotient_action, reduce_mod_p
@@ -136,6 +136,50 @@ class TestIntegralCocycles:
                 for sub in maximal_submodules(ext.module, n)
             )
             assert max_count_split(ext, lambda _n: 0, n) == expected, n
+
+
+class TestSmithPath:
+    """The pN term read off each level's Smith invariants."""
+
+    def test_level_invariants(self):
+        for i in range(2, 13):
+            assert recursion._gk_level(i).cocycles.invariants == (2,) * (i - 2), i
+        for k in [*range(-12, 13), -1011, -1007, 1007, 1011]:
+            expected = (1,) if k == 2 else (1, abs(k - 2))
+            assert recursion._hk_level(k).cocycles.invariants == expected, k
+
+    @pytest.mark.parametrize("p", [4, 1, 6, 0])
+    def test_rejects_a_modulus_that_is_not_prime(self, p):
+        with pytest.raises(ValueError, match=f"p={p}"):
+            solution_space(recursion._hk_level(6).cocycles, p)
+
+    @pytest.mark.parametrize("k", [12, 20, 30])
+    def test_gk_at_large_k(self, k):
+        for n in range(2, 201):
+            assert recursive_gk(k, n) == max_count_gk(k, n).count, n
+
+    @pytest.mark.parametrize("n", [1009, 1009 ** 2, 1013])
+    @pytest.mark.parametrize("k", [1011, 1007, -1007, -1011])
+    def test_hk_where_p_divides_k_minus_or_plus_2(self, k, n):
+        # p = 1009 divides k - 2 at k = 1011, -1007 and k + 2 at k = 1007, -1011;
+        # p = 1013 divides k + 2 at k = 1011 and k - 2 at k = -1011
+        assert recursive_hk(k, n) == max_count_hk(k, n).count
+
+
+class TestClassifiedOnce:
+    @pytest.mark.parametrize("n", [997, 961, 999])  # prime, prime square, composite
+    @pytest.mark.parametrize("route,k", [(recursive_gk, 6), (recursive_hk, 5)])
+    def test_one_classification_per_cell(self, monkeypatch, route, k, n):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return classify_index(m)
+
+        for module in (recursion, modules):
+            monkeypatch.setattr(module, "classify_index", counting)
+        route(k, n)
+        assert calls == [n]
 
 
 class TestSummandTable:
