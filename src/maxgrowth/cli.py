@@ -17,7 +17,9 @@ the oracle on, a k whose presentation has more generators or a longer
 relator than the oracle takes (G_k with k > 6, H_k with |k| > 996) is a
 usage error, raised before the first line.  The oracle counts m_n from
 one coset table per conjugacy class of subgroups, weighted by the size
-of the class.
+of the class, and splits each search over the CPUs the process may use,
+at most two, with no option to set: the output is the same for any
+number of CPUs.
 """
 
 from __future__ import annotations

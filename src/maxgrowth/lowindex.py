@@ -36,6 +36,29 @@ cell is defined, so any order ends at the same closed table, or finds a
 contradiction exactly when that table would have one.  The search thus
 visits the same nodes, and finds the same tables, whatever the order.
 
+The subtrees below a node are searched independently of each other (Sims
+ch. 5), so one search is split over the CPUs this process may use, with
+``os.fork``.  The first node at depth ``SPLIT_DEPTH`` forks the workers,
+each a copy of the search at that node, and a search that never gets so
+deep forks nothing.  Every worker walks the same tree above that depth,
+so all of them number its depth-``SPLIT_DEPTH`` subtrees 0, 1, 2, ... in
+search order alike.  A worker descends only into the subtrees it claims
+from a counter shared through a pipe: worker i starts on subtree i and
+claims the next unclaimed one each time it finishes one.  Worker 0 (the
+caller) merges the tables by subtree, with a subtree's tables before the
+tables found above the split depth that follow it in search order, which
+only worker 0 keeps; the sort is stable and one worker finds all of a
+subtree's tables in their search order, so the merged list is the serial
+one.  The nodes above the split depth are the same in every worker, so
+the serial search's node count is those nodes plus each worker's nodes
+below them, and the budget is checked against that total once the workers
+are done: the split raises ``SearchBudgetExceeded`` exactly when the serial
+search would.  A worker whose own nodes exceed the budget raises at once,
+as the total exceeds it too.  A worker ends when worker 0 ends, also when
+worker 0 is killed by a signal and runs no clean-up.  With one usable CPU,
+without ``os.fork``, or while another thread is alive, the same loop runs
+as the only worker.
+
 Maximality is tested through the coset action: a subgroup is maximal iff
 the action on its cosets is primitive, i.e. admits no nontrivial block
 system.  Prime degree transitive actions are always primitive, so prime
@@ -48,8 +71,16 @@ not depend on that order, and the order chosen visits fewer nodes.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import pickle
+import signal
+import struct
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NoReturn
 
 from .core import GroupPresentation, is_prime
 
@@ -59,6 +90,21 @@ MAX_GENERATORS = 6
 # them all, so even index 2 costs about L^2 before the node budget can act;
 # at 1,000 letters (H_996) index 2 takes about 0.3 s of CPU time
 MAX_RELATOR_LENGTH = 1000
+# the depth of the subtrees a search is split into.  Every worker walks the
+# whole tree above it, so it must be shallow enough for that walk to stay a
+# small share of the search, and deep enough to give many more subtrees than
+# workers, so that claiming them one at a time keeps every worker busy to
+# the end.  On a 2-core VM, two workers take 0.55 of the serial wall time
+# at depth 8, both on the class passes of G_3, G_4 and H_-3..H_3 to index
+# 14 (1,908 subtrees) and of H_2 and H_3 to index 25 (490); at depth 6 the
+# passes to 25 give 175 subtrees and take 0.66, and at depths 10 to 14 the
+# walk above them raises the passes to 14 to 0.59-0.77.
+SPLIT_DEPTH = 8
+# the most processes a search is split over.  The split was measured on two
+# CPUs only; with more, every extra worker walks the tree above SPLIT_DEPTH
+# again and is one more fork of the caller, and whether that pays off on a
+# search of a tenth of a second is unmeasured
+MAX_WORKERS = 2
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -108,7 +154,13 @@ def low_index_subgroups(
     have at most j cosets (a new coset is the only move the cap forbids,
     and class pruning looks only at the partial table), so filtering the
     ``upto`` result by index gives each index-j result, in the same
-    order."""
+    order.
+
+    The search may be split over several processes (see the module
+    docstring); the result and the node count are the serial search's.
+    The node budget counts every worker's nodes: those above the split
+    depth once, as every worker visits the same ones, and each worker's
+    below it."""
     m = pres.num_generators
     if m > MAX_GENERATORS:
         raise ValueError(f"at most {MAX_GENERATORS} generators supported, got {m}")
@@ -219,63 +271,229 @@ def low_index_subgroups(
     # per definition) is not bounded by the interpreter's recursion limit.
     # A frame is (first empty cell, its remaining candidate rows, trail
     # length and coset count on entry); before each candidate the table is
-    # rolled back to the frame's entry state.
+    # rolled back to the frame's entry state.  A node's depth is the stack
+    # length when it is entered.
     nc = 1  # cosets allocated so far
     nodes = 0
     pos = 0  # where the scan for the first empty cell starts
     stack: list[tuple[int, Iterator[int], int, int]] = []
-    while True:
-        limit = nc * width
-        while pos < limit and table[pos] >= 0:
-            pos += 1
-        if pos < limit:
-            inverse_col = (pos % width) ^ 1
-            candidates = [b for b in range(0, limit, width) if table[b + inverse_col] < 0]
-            if nc < n:
-                candidates.append(limit)
-            stack.append((pos, iter(candidates), len(trail), nc))
-        elif nc >= least:
-            flat = [x // width for x in table[:limit]]
-            if not classes or _rerooting_orbit_size(flat, nc, width, least_only=True):
-                results.append(
-                    CosetTable(
-                        num_generators=m,
-                        entries=tuple(tuple(flat[i : i + width]) for i in range(0, limit, width)),
-                    )
-                )
-        # take the next candidate of the innermost frame that has one left
-        while stack:
-            pos, candidates, mark, nc = stack[-1]
-            if len(trail) > mark:
-                for i in trail[mark:]:
-                    table[i] = -1
-                del trail[mark:]
-            b = next(candidates, None)
-            if b is None:
-                stack.pop()
-                continue
-            nodes += 1
-            if nodes > budget:
+    keys: list[int] = []  # per table: 2 * subtree, + 1 if found above SPLIT_DEPTH
+    split: _Split | None = None  # made at the first node of depth SPLIT_DEPTH
+    subtree = claimed = -1  # the last subtree numbered, and the last claimed
+    # this worker's nodes below SPLIT_DEPTH, and the node count on entering
+    # the subtree in hand
+    deep = entered = 0
+    try:
+        while True:
+            limit = nc * width
+            while pos < limit and table[pos] >= 0:
+                pos += 1
+            if pos < limit:
+                inverse_col = (pos % width) ^ 1
+                candidates = [b for b in range(0, limit, width) if table[b + inverse_col] < 0]
+                if nc < n:
+                    candidates.append(limit)
+                stack.append((pos, iter(candidates), len(trail), nc))
+            elif nc >= least:
+                flat = [x // width for x in table[:limit]]
+                if not classes or _rerooting_orbit_size(flat, nc, width, least_only=True):
+                    keys.append(2 * subtree + (len(stack) < SPLIT_DEPTH))
+                    entries = tuple(tuple(flat[i : i + width]) for i in range(0, limit, width))
+                    results.append(CosetTable(num_generators=m, entries=entries))
+            # take the next candidate of the innermost frame that has one left
+            while stack:
+                pos, candidates, mark, nc = stack[-1]
+                if len(trail) > mark:
+                    for i in trail[mark:]:
+                        table[i] = -1
+                    del trail[mark:]
+                b = next(candidates, None)
+                if b is None:
+                    stack.pop()
+                    if len(stack) == SPLIT_DEPTH:
+                        deep += nodes - entered  # the subtree in hand is done
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetExceeded(f"node budget {budget} exceeded at index {n}")
+                if b == nc * width:
+                    nc += 1
+                    if len(table) < b + width:
+                        table.extend([-1] * width)
+                col = pos % width
+                a = pos - col
+                i2 = b + (col ^ 1)
+                table[pos] = b
+                table[i2] = a
+                trail.append(pos)
+                trail.append(i2)
+                pending.append((a, col))
+                pending.append((b, col ^ 1))
+                if not propagate():
+                    pending.clear()
+                elif not (classes and row0_rerooting_smaller(nc * width)):
+                    if len(stack) != SPLIT_DEPTH:
+                        break  # descend: scan on from pos in the extended table
+                    # the root of the next subtree in search order
+                    subtree += 1
+                    if subtree > claimed:
+                        if split is None:
+                            split = _Split(_worker_count())
+                            claimed = split.index
+                        else:
+                            claimed = split.claim()
+                    if subtree == claimed:  # this worker's: descend; others': skip
+                        entered = nodes
+                        break
+            else:
+                break  # the stack is empty: the search is done
+        if split is not None:
+            if split.index:
+                split.report((deep, [kt for kt in zip(keys, results) if kt[0] % 2 == 0]))
+            outcomes = split.gather()
+            if nodes + sum(d for d, _ in outcomes) > budget:
                 raise SearchBudgetExceeded(f"node budget {budget} exceeded at index {n}")
-            if b == nc * width:
-                nc += 1
-                if len(table) < b + width:
-                    table.extend([-1] * width)
-            col = pos % width
-            a = pos - col
-            i2 = b + (col ^ 1)
-            table[pos] = b
-            table[i2] = a
-            trail.append(pos)
-            trail.append(i2)
-            pending.append((a, col))
-            pending.append((b, col ^ 1))
-            if not propagate():
-                pending.clear()
-            elif not (classes and row0_rerooting_smaller(nc * width)):
-                break  # descend: scan on from pos in the extended table
-        else:
-            return results
+            merged = list(zip(keys, results))
+            for _, theirs in outcomes:
+                merged += theirs
+            merged.sort(key=itemgetter(0))  # stable: each key's tables come from one worker
+            results = [t for _, t in merged]
+    except BaseException as exc:
+        if split is not None:
+            if split.index:
+                split.report(exc)
+            split.abandon()
+        raise
+    return results
+
+
+# the shared claim counter: the next unclaimed subtree
+_TOKEN = struct.Struct("q")
+_PR_SET_PDEATHSIG = 1  # prctl option: the signal a process gets when its parent ends
+
+
+def _worker_count() -> int:
+    """How many processes a search is split over: the CPUs this process may
+    run on, at most ``MAX_WORKERS``, or 1 without ``os.fork`` or while
+    another thread is alive (a forked child could find a lock held by a
+    thread it does not have)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
+
+
+def _end_with_parent(parent: int) -> None:
+    """In a worker just forked from ``parent``: have the kernel kill it when
+    the parent ends (Linux ``prctl``), so that a caller killed by a signal,
+    which runs no clean-up, leaves no worker searching on.  Without
+    ``prctl`` the worker ends at its next claim instead."""
+    try:
+        ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (AttributeError, OSError):
+        pass  # no prctl
+    if os.getppid() != parent:
+        os._exit(0)  # the parent ended before the request took effect
+
+
+class _Split:
+    """The workers of one split search.  The calling process is worker 0;
+    the constructor forks workers 1..count - 1, each a copy of the search at
+    the first subtree, and each returns from it with its own ``index``.
+    Worker i starts on subtree i and claims the next unclaimed one whenever
+    it finishes one.  With one worker nothing is forked, and the claims are
+    1, 2, 3, ... in order."""
+
+    def __init__(self, count: int):
+        self.index = 0
+        self.parent = os.getpid()
+        self.children: list[tuple[int, int]] = []  # (pid, read end of its outcome pipe)
+        self.token: tuple[int, int] | None = os.pipe()  # holds the claim counter
+        try:
+            for index in range(1, count):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: split over the workers there are
+                    os.close(r)
+                    os.close(w)
+                    break
+                if pid == 0:
+                    _end_with_parent(self.parent)
+                    self.index, self.out = index, w
+                    os.close(r)
+                    for _, fd in self.children:
+                        os.close(fd)
+                    self.children = []
+                    return
+                os.close(w)
+                self.children.append((pid, r))
+        except BaseException:
+            self.abandon()
+            raise
+        os.write(self.token[1], _TOKEN.pack(len(self.children) + 1))
+
+    def claim(self) -> int:
+        """Claim the next unclaimed subtree.  A worker i > 0 whose parent,
+        worker 0, has ended ends here: nobody would read its tables."""
+        if self.index and os.getppid() != self.parent:
+            os._exit(0)
+        r, w = self.token
+        (claim,) = _TOKEN.unpack(os.read(r, _TOKEN.size))  # blocks while another holds it
+        os.write(w, _TOKEN.pack(claim + 1))
+        return claim
+
+    def report(self, outcome) -> NoReturn:
+        """Worker i > 0: send ``outcome`` (its deep nodes and keyed tables,
+        or the exception it raised) to worker 0 and end the process."""
+        try:
+            try:
+                data = pickle.dumps(outcome)
+            except Exception:
+                data = pickle.dumps(RuntimeError(f"search worker {self.index} failed: {outcome!r}"))
+            with os.fdopen(self.out, "wb") as out:
+                out.write(data)
+        finally:
+            os._exit(0)
+
+    def gather(self) -> list[tuple[int, list[tuple[int, CosetTable]]]]:
+        """Worker 0: read each child's outcome to the end, reap the child,
+        and raise the exception a child raised, if any."""
+        outcomes = []
+        while self.children:
+            pid, fd = self.children[-1]
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            self.children.pop()
+            os.close(fd)
+            os.waitpid(pid, 0)
+            if not chunks:
+                raise RuntimeError(f"search worker {pid} ended without an outcome")
+            outcome = pickle.loads(b"".join(chunks))
+            if isinstance(outcome, BaseException):
+                raise outcome
+            outcomes.append(outcome)
+        self._close_token()
+        return outcomes
+
+    def abandon(self) -> None:
+        """Worker 0: kill and reap every child not yet reaped."""
+        for pid, fd in self.children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+        self.children = []
+        self._close_token()
+
+    def _close_token(self) -> None:
+        if self.token is not None:
+            for fd in self.token:
+                os.close(fd)
+            self.token = None
 
 
 def _rerooting_orbit_size(flat: list[int], n: int, width: int, *, least_only: bool) -> int:
@@ -427,9 +645,11 @@ def oracle_max_counts(
     """``oracle_max_count`` for every index 2..nmax from one search.
 
     Like ``oracle_max_count`` it searches the reordered copy of ``pres``,
-    and the budget counts that search's nodes.  The budget keeps its
-    per-index meaning: an index maps to None exactly when its own search
-    would exceed the budget.  The index-n nodes are the pass's nodes with
+    and the budget counts that search's nodes, over every worker the
+    search is split across, so a split search exceeds it exactly when
+    the serial one would.  The budget keeps its per-index meaning: an
+    index maps to None exactly when its own search would exceed the
+    budget.  The index-n nodes are the pass's nodes with
     at most n cosets, so a pass within budget leaves out no index, and
     once one index runs out every larger index does."""
     try:

@@ -36,8 +36,9 @@ HK_ORACLE_NS = (2, 3, 4, 5, 7, 9)
 HK_REQUIRED_AT_9 = {0, 1, 2, 3}
 # n = 25 takes the coprime p^2 branch at p = 5 for these k
 HK_REQUIRED_AT_25 = (-1, 0, 1)
-# and the otherwise branch (m_25 = 0) for these
-HK_OTHERWISE_AT_25 = (-2,)
+# and the otherwise branch (m_25 = 0) for these; k - 2 = 0 for k = 2, so
+# every prime divides it
+HK_OTHERWISE_AT_25 = (-2, 2)
 
 
 @contextmanager

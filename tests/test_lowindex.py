@@ -1,10 +1,16 @@
 import gc
 import hashlib
 import itertools
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 
+from maxgrowth import lowindex
 from maxgrowth.core import GroupPresentation, is_prime, make_gk, make_hk
 from maxgrowth.formulas import max_count_gk, max_count_hk
 from maxgrowth.lowindex import (
@@ -404,3 +410,197 @@ class TestCanonicalSearch:
         tables = low_index_subgroups(PASS_GROUPS[name], 10, upto=True, classes=True)
         digest = hashlib.sha256(repr([t.entries for t in tables]).encode()).hexdigest()
         assert (len(tables), digest[:16]) == self.PASS_DIGESTS[name]
+
+
+class TestSplitSearch:
+    """One search split over 1, 2 and 3 forked workers returns the serial
+    search's tables, in its order, and counts its nodes."""
+
+    WORKERS = (1, 2, 3)
+    # the node count of the upto=True, classes=True pass to index 12, as
+    # the serial search counts it
+    PASS_NODES = {
+        "G_2": 420,
+        "G_3": 3570,
+        "G_4": 23762,
+        "H_-3": 34200,
+        "H_-2": 26620,
+        "H_-1": 14284,
+        "H_0": 18301,
+        "H_1": 14273,
+        "H_2": 30538,
+        "H_3": 33423,
+    }
+
+    @staticmethod
+    def force_workers(monkeypatch, count):
+        monkeypatch.setattr(lowindex, "_worker_count", lambda: count)
+
+    @staticmethod
+    def record_forks(monkeypatch):
+        """The pids of the children forked from here on."""
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @pytest.mark.parametrize("name", PASS_GROUPS)
+    def test_class_pass_is_the_serial_one(self, name, monkeypatch):
+        pres, nodes = PASS_GROUPS[name], self.PASS_NODES[name]
+        passes = []
+        for workers in self.WORKERS:
+            self.force_workers(monkeypatch, workers)
+            tables = low_index_subgroups(pres, 12, upto=True, classes=True, node_budget=nodes)
+            passes.append([t.entries for t in tables])
+            with pytest.raises(SearchBudgetExceeded):
+                low_index_subgroups(pres, 12, upto=True, classes=True, node_budget=nodes - 1)
+        assert passes[1] == passes[0] and passes[2] == passes[0]
+
+    @pytest.mark.parametrize(
+        "pres, nodes", [(make_hk(3)[0], 14328), (make_gk(4), 12990)], ids=["H_3", "G_4"]
+    )
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_minimal_node_budget(self, pres, nodes, workers, monkeypatch):
+        # the serial index-10 class search visits exactly `nodes` nodes
+        self.force_workers(monkeypatch, workers)
+        low_index_subgroups(pres, 10, node_budget=nodes, classes=True)
+        with pytest.raises(SearchBudgetExceeded):
+            low_index_subgroups(pres, 10, node_budget=nodes - 1, classes=True)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_budget_exceeded_in_one_workers_half(self, workers, monkeypatch):
+        # Z's tree is a path with a leaf at every depth: subtree 0 is a
+        # leaf, and worker 1 takes subtree 1, the rest of the path, alone
+        self.force_workers(monkeypatch, workers)
+        pids = self.record_forks(monkeypatch)
+        with pytest.raises(SearchBudgetExceeded, match="node budget 100 exceeded"):
+            low_index_subgroups(make_gk(1), 10 ** 12, node_budget=100)
+        assert len(pids) == workers - 1
+
+    def test_a_shallow_search_forks_nothing(self, monkeypatch):
+        self.force_workers(monkeypatch, 2)
+        pids = self.record_forks(monkeypatch)
+        assert len(low_index_subgroups(make_gk(2), 2)) == 3
+        assert pids == []
+        assert len(low_index_subgroups(make_gk(1), 30)) == 1
+        assert len(pids) == 1
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_parent_failure_kills_and_reaps_the_workers(self, workers, monkeypatch):
+        # worker 1 walks Z's path towards index 10^12, far beyond the time
+        # the alarm gives it; the alarm raises in worker 0 while it waits
+        class Alarm(Exception):
+            pass
+
+        def ring(signum, frame):
+            raise Alarm
+
+        self.force_workers(monkeypatch, workers)
+        pids = self.record_forks(monkeypatch)
+        previous = signal.signal(signal.SIGALRM, ring)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(Alarm):
+                low_index_subgroups(make_gk(1), 10 ** 12)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 10
+        assert len(pids) == workers - 1
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # already reaped
+
+    def test_a_workers_error_reaches_the_parent(self, monkeypatch):
+        parent = os.getpid()
+        orbit_size = lowindex._rerooting_orbit_size
+
+        def failing_in_a_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ArithmeticError("in a worker")
+            return orbit_size(*args, **kwargs)
+
+        self.force_workers(monkeypatch, 2)
+        monkeypatch.setattr(lowindex, "_rerooting_orbit_size", failing_in_a_child)
+        with pytest.raises(ArithmeticError, match="in a worker"):
+            low_index_subgroups(make_hk(3)[0], 10, classes=True)
+
+    # a caller that prints the pid of each worker it forks, then searches
+    # on; with "claims" its workers do not ask the kernel to end them with
+    # it, and so end only at their next claim
+    KILLED_CALLER = """
+import os, sys
+from maxgrowth import lowindex
+from maxgrowth.core import make_gk, make_hk
+
+lowindex._worker_count = lambda: 2
+if sys.argv[1] == "claims":
+    lowindex._end_with_parent = lambda parent: None
+fork = os.fork
+
+def announcing_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announcing_fork
+lowindex.low_index_subgroups({search})
+"""
+
+    @staticmethod
+    def ended(pid):
+        """Whether the process has ended: it is gone, or a zombie left to
+        whichever process adopted it."""
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+        except FileNotFoundError:
+            return True
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+    @pytest.mark.parametrize(
+        "ending, search",
+        [
+            # Z's path below SPLIT_DEPTH is one subtree: worker 1 never claims
+            ("kernel", "make_gk(1), 10 ** 12"),
+            ("claims", "make_hk(3)[0], 30, classes=True"),
+        ],
+    )
+    def test_a_killed_caller_leaves_no_worker(self, ending, search):
+        src = os.path.dirname(os.path.dirname(lowindex.__file__))
+        caller = subprocess.Popen(
+            [sys.executable, "-c", self.KILLED_CALLER.format(search=search), ending],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            worker = int(caller.stdout.readline())
+        finally:
+            caller.kill()  # SIGKILL: the caller runs no clean-up
+            caller.wait()
+            caller.stdout.close()
+        deadline = time.monotonic() + 10
+        while not self.ended(worker) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert self.ended(worker)
+
+    def test_serial_while_another_thread_is_alive(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert lowindex._worker_count() == min(cpus, lowindex.MAX_WORKERS)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert lowindex._worker_count() == 1
+        finally:
+            stop.set()
+            thread.join()
