@@ -21,6 +21,7 @@ from .core import (
     classify_index,
     hk_action_matrices,
     is_prime,
+    lattice_presentation,
     make_gk,
     make_hk,
     primes_dividing,
@@ -103,6 +104,7 @@ __all__ = [
     "invariant_subspaces",
     "is_prime",
     "is_primitive",
+    "lattice_presentation",
     "low_index_subgroups",
     "make_gk",
     "make_hk",

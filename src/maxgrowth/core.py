@@ -7,8 +7,8 @@ Two polycyclic families are first-class citizens:
   its inverse.  G_1 is the infinite cyclic group.
 * ``H_k``: the lattice extension Z^2 x| G_2 in which the G_2 generator a
   acts on the lattice by the coordinate swap A = [[0,1],[1,0]] and b acts
-  by B_k = [[0,1],[-1,k]].  The flattened presentation has generators
-  (t1, t2, b, a) for the lattice basis and the acting group.
+  by B_k = [[0,1],[-1,k]], for any integer k.  lattice_presentation writes
+  its relators from A and B_k on the generators (t1, t2, b, a).
 
 Words are tuples of signed 1-based generator indices: letter ``i`` is the
 i-th generator, ``-i`` its inverse.  Lattice vectors are column vectors
@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .linalg import Matrix
+from .linalg import Matrix, as_int_matrix, int_det, int_inverse_unimodular, mat_mul
 
 Word = tuple[int, ...]
 
@@ -263,37 +263,36 @@ def make_gk(k: int) -> GroupPresentation:
 
 
 def hk_action_matrices(k: int) -> tuple[Matrix, Matrix]:
-    """The swap matrix A and B_k = [[0,1],[-1,k]] acting on the lattice.
-
-    |k| must stay below 2^63: the command line rejects larger k with exit
-    2, and make_hk checks it before spelling out a relator of |k| + 4 letters.
-    """
-    if abs(k) >= 2 ** 63:
-        raise ValueError(f"|k| must be below 2^63 for the lattice action, got k={k}")
+    """The swap matrix A and B_k = [[0,1],[-1,k]], the actions of a and b on H_k's lattice."""
     return ((0, 1), (1, 0)), ((0, 1), (-1, k))
 
 
-def make_hk(k: int) -> tuple[GroupPresentation, Matrix, Matrix]:
-    """Flattened presentation of H_k = Z^2 x| G_2, plus the action matrices.
+def _power(letter: int, e: int) -> Word:
+    return (letter if e > 0 else -letter,) * abs(e)
 
-    Generators are (t1, t2, b, a); t1, t2 span the lattice.  Conjugation
-    reads off the matrix columns: a t1 a^-1 = t2, a t2 a^-1 = t1,
-    b t1 b^-1 = t2^-1, b t2 b^-1 = t1 t2^k.
-    """
-    mat_a, mat_b = hk_action_matrices(k)  # rejects k before building relators
+
+def lattice_presentation(mat_a, mat_b) -> GroupPresentation:
+    """Z^2 x| G_2 with a acting on the lattice by mat_a and b by mat_b, on
+    the generators (t1, t2, b, a).  One rule gives every relator of a split
+    extension (D. L. Johnson, Presentations of Groups): [t1, t2], a b a^-1 b,
+    then g t_i g^-1 t2^-M[1][i] t1^-M[0][i] for (g, M) in (a, mat_a),
+    (b, mat_b) and i = 1, 2.  Raises ValueError unless both matrices are
+    unimodular 2x2 and satisfy a b a^-1 b = 1."""
+    mat_a, mat_b = as_int_matrix(mat_a), as_int_matrix(mat_b)
+    if any(len(mat) != 2 or int_det(mat) not in (1, -1) for mat in (mat_a, mat_b)):
+        raise ValueError("the lattice action needs two unimodular 2x2 matrices")
+    if mat_mul(mat_a, mat_b) != mat_mul(int_inverse_unimodular(mat_b), mat_a):  # a b a^-1 b = 1
+        raise ValueError("the matrices fail the G_2 relator a b a^-1 b = 1")
     t1, t2, b, a = 1, 2, 3, 4
-    if k >= 0:
-        t2_to_minus_k: Word = (-t2,) * k
-    else:
-        t2_to_minus_k = (t2,) * (-k)
-    rels: tuple[Word, ...] = (
-        (t1, t2, -t1, -t2),
-        (a, b, -a, b),
-        (a, t1, -a, -t2),
-        (a, t2, -a, -t1),
-        (b, t1, -b, t2),
-        (b, t2, -b) + t2_to_minus_k + (-t1,),
-    )
-    pres = GroupPresentation(("t1", "t2", "b", "a"), rels)
-    return pres, mat_a, mat_b
+    rels = [(t1, t2, -t1, -t2), (a, b, -a, b)]
+    for g, mat in ((a, mat_a), (b, mat_b)):
+        for i, t in enumerate((t1, t2)):
+            rels.append((g, t, -g) + _power(t2, -mat[1][i]) + _power(t1, -mat[0][i]))
+    return GroupPresentation(("t1", "t2", "b", "a"), rels)
 
+
+def make_hk(k: int) -> tuple[GroupPresentation, Matrix, Matrix]:
+    """H_k as lattice_presentation(A, B_k), plus A and B_k.  Its last relator
+    says b t2 b^-1 = t1 t2^k, in |k| + 4 letters."""
+    mat_a, mat_b = hk_action_matrices(k)
+    return lattice_presentation(mat_a, mat_b), mat_a, mat_b

@@ -106,20 +106,20 @@ class TestTable:
         assert [line.split()[0] for line in skipped] == ["n=3", "n=4", "n=5", "n=6"]
         assert all("oracle=SKIPPED" in line and "budget" in line for line in skipped)
 
-    def test_k_beyond_int64_rejected(self, capsys):
-        for methods in ("formula,recursion", "oracle"):
-            argv = ["table", "--family", "hk", "--k", str(10 ** 19), "--nmax", "5"]
-            code, out, err = run(argv + ["--methods", methods], capsys)
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error:") and len(err.splitlines()) == 1
-        # the closed forms alone take any k
-        code, out, _ = run(
-            ["table", "--family", "hk", "--k", str(10 ** 19), "--nmax", "5", "--methods", "formula"],
-            capsys,
-        )
-        assert code == 0
-        assert out.splitlines()[2] == "3,7,p_divides_k_plus_2,formula"
+    def test_k_beyond_int64(self, capsys):
+        for k in (2 ** 63, -(2 ** 63), 10 ** 19):
+            code, out, err = run(["table", "--family", "hk", f"--k={k}", "--nmax", "5"], capsys)
+            assert code == 0 and err == ""
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert [row[3] for row in rows] == ["formula", "recursion"] * 4
+            assert [row[:3] for row in rows[::2]] == [row[:3] for row in rows[1::2]]
+        assert out.splitlines()[3] == "3,7,p_divides_k_plus_2,formula"
+        # the oracle still refuses H_k's relator of |k| + 4 letters
+        argv = ["table", "--family", "hk", "--k", str(10 ** 19), "--nmax", "5"]
+        code, out, err = run(argv + ["--methods", "oracle"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the oracle takes relators") and len(err.splitlines()) == 1
 
     def test_relator_beyond_oracle_cap_rejected(self, capsys):
         # H_997 has a relator of 1001 letters
@@ -247,15 +247,20 @@ class TestVerify:
             "summary: cells=1009 pass=1009 fail=0 oracle_skipped=0",
         ]
 
-    def test_k_beyond_int64_rejected(self, capsys):
-        # one good end is not enough: no line may be printed before the error
-        for k_arg in (str(10 ** 19), f"{2 ** 63 - 1}..{2 ** 63}", f"-{2 ** 63}..-{2 ** 63 - 1}"):
+    def test_k_beyond_int64(self, capsys):
+        for k_arg, cells in (
+            (str(10 ** 19), 5),
+            (f"{2 ** 63 - 1}..{2 ** 63}", 10),
+            (f"-{2 ** 63}..-{2 ** 63 - 1}", 10),
+        ):
             code, out, err = run(
-                ["verify", "--family", "hk", f"--k={k_arg}", "--nmax", "5"], capsys
+                ["verify", "--family", "hk", f"--k={k_arg}", "--nmax", "6"], capsys
             )
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert code == 0 and err == ""
+            lines = out.splitlines()
+            assert len(lines) == cells + 1
+            assert all(line.endswith(" PASS") for line in lines[:-1])
+            assert lines[-1] == f"summary: cells={cells} pass={cells} fail=0 oracle_skipped=0"
 
     def test_relator_beyond_oracle_cap_rejected(self, capsys):
         # either end of the range may carry the longest relator; no line

@@ -14,18 +14,38 @@ from maxgrowth.core import (
     factor,
     hk_action_matrices,
     is_prime,
+    lattice_presentation,
     least_symdiff_prime,
     make_gk,
     make_hk,
     primes_dividing,
     primes_up_to,
 )
+from maxgrowth.formulas import max_count_hk
 from maxgrowth.linalg import int_det
 from maxgrowth.modules import ModuleAction
+from maxgrowth.recursion import recursive_hk
 
 
 def satisfies_g2_relator(a, b):
     return ModuleAction(2, None, (a, b)).satisfies(make_gk(2))
+
+
+def hand_spelled_hk_relators(k):
+    # H_k's relators written out letter by letter, as make_hk once did
+    t1, t2, b, a = 1, 2, 3, 4
+    if k >= 0:
+        t2_to_minus_k = (-t2,) * k
+    else:
+        t2_to_minus_k = (t2,) * (-k)
+    return (
+        (t1, t2, -t1, -t2),
+        (a, b, -a, b),
+        (a, t1, -a, -t2),
+        (a, t2, -a, -t1),
+        (b, t1, -b, t2),
+        (b, t2, -b) + t2_to_minus_k + (-t1,),
+    )
 
 
 def trial_classification(n):
@@ -243,19 +263,52 @@ class TestMakeHk:
             assert int_det(b) == 1
             assert satisfies_g2_relator(a, b)
 
-    def test_k_beyond_int64_rejected(self):
+    def test_k_beyond_int64(self):
+        # route 2 reads the matrices, so any k gets an answer
         for k in (2 ** 63, -(2 ** 63), 10 ** 19):
-            with pytest.raises(ValueError, match="2\\^63"):
-                hk_action_matrices(k)
-            with pytest.raises(ValueError, match="2\\^63"):
-                make_hk(k)
-        _, b = hk_action_matrices(2 ** 63 - 1)
-        assert b[1][1] == 2 ** 63 - 1
+            _, b = hk_action_matrices(k)
+            assert b == ((0, 1), (-1, k))
+            for n in range(2, 7):
+                assert recursive_hk(k, n) == max_count_hk(k, n).count
 
     def test_presentation_shape(self):
         pres, _, _ = make_hk(7)
         assert pres.generators == ("t1", "t2", "b", "a")
         assert len(pres.relators) == 6
+
+    def test_relators_match_hand_spelled_reference(self):
+        for k in range(-50, 51):
+            assert make_hk(k)[0].relators == hand_spelled_hk_relators(k)
+
+    def test_longest_relator_has_abs_k_plus_4_letters(self):
+        # the arithmetic behind the command line's oracle relator cap
+        for k in range(-50, 51):
+            assert max(map(len, make_hk(k)[0].relators)) == abs(k) + 4
+
+
+class TestLatticePresentation:
+    def test_rejects_non_unimodular(self):
+        with pytest.raises(ValueError, match="unimodular"):
+            lattice_presentation([[2, 0], [0, 1]], [[1, 0], [0, 1]])
+
+    def test_rejects_pair_failing_the_g2_relator(self):
+        with pytest.raises(ValueError, match="a b a\\^-1 b"):
+            lattice_presentation([[1, 0], [0, 1]], [[1, 1], [0, 1]])
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError):
+            lattice_presentation([[1]], [[1]])
+
+    def test_trivial_action_is_z2_times_g2(self):
+        pres = lattice_presentation(np.eye(2, dtype=np.int64), ((1, 0), (0, 1)))
+        assert pres.relators == (
+            (1, 2, -1, -2),
+            (4, 3, -4, 3),
+            (4, 1, -4, -1),
+            (4, 2, -4, -2),
+            (3, 1, -3, -1),
+            (3, 2, -3, -2),
+        )
 
 
 class TestCompatibility:

@@ -4,10 +4,17 @@ import sys
 import numpy as np
 import pytest
 
-from maxgrowth import cli, formulas, modules, recursion
-from maxgrowth.core import classify_index, hk_action_matrices, make_gk, primes_up_to
+from maxgrowth import cli, core, formulas, modules, recursion
+from maxgrowth.core import (
+    classify_index,
+    hk_action_matrices,
+    lattice_presentation,
+    make_gk,
+    primes_up_to,
+)
 from maxgrowth.derivations import count_derivations, solution_space
 from maxgrowth.formulas import max_count_gk, max_count_hk
+from maxgrowth.lowindex import oracle_max_counts
 from maxgrowth.modules import ModuleAction, maximal_submodules, quotient_action, reduce_mod_p
 from maxgrowth.recursion import (
     SplitExtension,
@@ -235,6 +242,58 @@ class TestStandsAlone:
                     monkeypatch.setattr(module, attr, forbidden)
         _clear_level_caches()  # rebuild the chain levels under the patch too
         assert [route(k, n) for route, k, n in cells] == before
+
+
+class TestWithoutThePresentation:
+    """Route 2 reads H_k's action matrices and never its presentation."""
+
+    @pytest.fixture(autouse=True)
+    def no_presentation(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("route 2 built a presentation")
+
+        monkeypatch.setattr(core, "lattice_presentation", forbidden)
+        _clear_level_caches()  # rebuild the chain levels under the patch
+
+    def test_recursion(self):
+        for n in (2, 3, 5, 25):
+            assert recursive_hk(10 ** 19, n) == max_count_hk(10 ** 19, n).count
+
+    def test_verify(self, capsys):
+        argv = ["verify", "--family", "hk", "--k", str(10 ** 19), "--nmax", "6"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "summary: cells=5 pass=5 fail=0 oracle_skipped=0"
+        )
+
+
+EYE = ((1, 0), (0, 1))
+MINUS_I = ((-1, 0), (0, -1))
+SWAP = ((0, 1), (1, 0))
+
+
+class TestLatticeCorpus:
+    """Route 2 against the oracle on Z^2 x| G_2 for actions beyond (A, B_k):
+    the oracle reads lattice_presentation's relators, route 2 the matrices."""
+
+    @pytest.mark.parametrize(
+        "mat_a,mat_b,counts",
+        [
+            (EYE, EYE, (15, 16, 0, 36, 0, 64, 0, 0)),
+            (MINUS_I, EYE, (15, 40, 0, 156, 0, 400, 0, 0)),
+            (EYE, MINUS_I, (15, 16, 0, 36, 0, 64, 0, 0)),
+            (((1, 0), (0, -1)), ((-1, 0), (0, 1)), (15, 16, 0, 36, 0, 64, 0, 0)),
+            (((1, 0), (0, -1)), ((1, 1), (0, 1)), (7, 13, 0, 31, 0, 57, 0, 0)),
+            (SWAP, ((0, 1), (-1, 5)), (3, 13, 4, 6, 0, 15, 0, 0)),
+            (SWAP, MINUS_I, (7, 10, 0, 16, 0, 22, 0, 0)),
+        ],
+        ids=["I,I", "-I,I", "I,-I", "diag,diag", "diag,shear", "A,B_5", "A,-I"],
+    )
+    def test_route_2_matches_oracle(self, mat_a, mat_b, counts):
+        ext = SplitExtension(make_gk(2), ModuleAction(2, None, (mat_a, mat_b)))
+        oracle = oracle_max_counts(lattice_presentation(mat_a, mat_b), 9)
+        route_2 = {n: max_count_split(ext, lambda n: recursive_gk(2, n), n) for n in range(2, 10)}
+        assert route_2 == oracle == dict(zip(range(2, 10), counts))
 
 
 class TestValidatedOnce:
