@@ -31,9 +31,9 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 
-from .core import GroupPresentation, GroupSpec, make_gk, make_hk
+from .core import GroupPresentation, GroupSpec, MAX_RELATOR_LENGTH, make_gk, make_hk
 from .formulas import max_count_gk, max_count_hk, mdeg, noniso_certificate
-from .lowindex import DEFAULT_NODE_BUDGET, MAX_GENERATORS, MAX_RELATOR_LENGTH, oracle_max_counts
+from .lowindex import DEFAULT_NODE_BUDGET, MAX_GENERATORS, oracle_max_counts
 from .recursion import recursive_gk, recursive_hk
 
 METHODS = ("formula", "recursion", "oracle")
@@ -215,33 +215,15 @@ def cmd_noniso(args, out=None, err=None) -> int:
     out = out or sys.stdout
     cert = noniso_certificate(args.i, args.j)
     if args.format == "json":
-        if cert is None:
-            print(json.dumps({"certificate": None}), file=out)
-        else:
-            print(
-                json.dumps(
-                    {
-                        "certificate": {
-                            "i": cert.i,
-                            "j": cert.j,
-                            "p": cert.p,
-                            "side": cert.side,
-                            "count_i": cert.count_i,
-                            "count_j": cert.count_j,
-                        }
-                    }
-                ),
-                file=out,
-            )
+        print(json.dumps({"certificate": None if cert is None else asdict(cert)}), file=out)
+    elif cert is None:
+        print("no certificate from this criterion", file=out)
     else:
-        if cert is None:
-            print("no certificate from this criterion", file=out)
-        else:
-            print(
-                f"certificate: p={cert.p} side={cert.side} "
-                f"m_p(H_{cert.i})={cert.count_i} m_p(H_{cert.j})={cert.count_j}",
-                file=out,
-            )
+        print(
+            f"certificate: p={cert.p} side={cert.side} "
+            f"m_p(H_{cert.i})={cert.count_i} m_p(H_{cert.j})={cert.count_j}",
+            file=out,
+        )
     return 0
 
 

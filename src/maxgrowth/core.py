@@ -32,6 +32,12 @@ _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
     67, 71, 73, 79, 83, 89, 97,
 )
+# the longest relator the oracle searches with, and so the longest that
+# lattice_presentation spells out: a relator of L letters has L rotations of
+# L letters, and the oracle's propagation scans them all, so even index 2
+# costs about L^2 before the node budget can act; at 1,000 letters (H_996)
+# index 2 takes about 0.3 s of CPU time
+MAX_RELATOR_LENGTH = 1000
 
 
 def is_prime(n: int) -> bool:
@@ -277,12 +283,18 @@ def lattice_presentation(mat_a, mat_b) -> GroupPresentation:
     extension (D. L. Johnson, Presentations of Groups): [t1, t2], a b a^-1 b,
     then g t_i g^-1 t2^-M[1][i] t1^-M[0][i] for (g, M) in (a, mat_a),
     (b, mat_b) and i = 1, 2.  Raises ValueError unless both matrices are
-    unimodular 2x2 and satisfy a b a^-1 b = 1."""
+    unimodular 2x2 and satisfy a b a^-1 b = 1, and before it would spell
+    out a relator longer than MAX_RELATOR_LENGTH."""
     mat_a, mat_b = as_int_matrix(mat_a), as_int_matrix(mat_b)
     if any(len(mat) != 2 or int_det(mat) not in (1, -1) for mat in (mat_a, mat_b)):
         raise ValueError("the lattice action needs two unimodular 2x2 matrices")
     if mat_mul(mat_a, mat_b) != mat_mul(int_inverse_unimodular(mat_b), mat_a):  # a b a^-1 b = 1
         raise ValueError("the matrices fail the G_2 relator a b a^-1 b = 1")
+    longest = max(3 + abs(mat[0][i]) + abs(mat[1][i]) for mat in (mat_a, mat_b) for i in (0, 1))
+    if longest > MAX_RELATOR_LENGTH:
+        raise ValueError(
+            f"relators of at most {MAX_RELATOR_LENGTH} letters supported, got {longest}"
+        )
     t1, t2, b, a = 1, 2, 3, 4
     rels = [(t1, t2, -t1, -t2), (a, b, -a, b)]
     for g, mat in ((a, mat_a), (b, mat_b)):
@@ -293,6 +305,7 @@ def lattice_presentation(mat_a, mat_b) -> GroupPresentation:
 
 def make_hk(k: int) -> tuple[GroupPresentation, Matrix, Matrix]:
     """H_k as lattice_presentation(A, B_k), plus A and B_k.  Its last relator
-    says b t2 b^-1 = t1 t2^k, in |k| + 4 letters."""
+    says b t2 b^-1 = t1 t2^k, in |k| + 4 letters, so |k| > 996 raises
+    ValueError."""
     mat_a, mat_b = hk_action_matrices(k)
     return lattice_presentation(mat_a, mat_b), mat_a, mat_b

@@ -82,14 +82,10 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NoReturn
 
-from .core import GroupPresentation, is_prime
+from .core import GroupPresentation, MAX_RELATOR_LENGTH, is_prime
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 MAX_GENERATORS = 6
-# a relator of L letters has L rotations of L letters, and propagation scans
-# them all, so even index 2 costs about L^2 before the node budget can act;
-# at 1,000 letters (H_996) index 2 takes about 0.3 s of CPU time
-MAX_RELATOR_LENGTH = 1000
 # the depth of the subtrees a search is split into.  Every worker walks the
 # whole tree above it, so it must be shallow enough for that walk to stay a
 # small share of the search, and deep enough to give many more subtrees than

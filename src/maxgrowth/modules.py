@@ -4,11 +4,12 @@ A maximal submodule of Z^r (generators acting by unimodular matrices) has
 prime power index p^c and contains pZ^r, so the classification lives in
 F_p^r: submodules of index p^c correspond to invariant subspaces of
 codimension c, and such a submodule is maximal exactly when the induced
-action on the c-dimensional quotient space is simple.  Submodules carry
-the Hermite normal form basis of their preimage lattice, written down
-from the RREF basis of the subspace: the RREF row at each pivot column
-and p e_j at every other column j.  That matrix is already in HNF, which
-makes equality, ordering and deduplication exact.
+action on the c-dimensional quotient space is simple.  A Submodule is
+its action and the RREF basis of its subspace, nothing more: its index
+and the Hermite normal form basis of its preimage lattice are derived
+from that basis, the RREF row at each pivot column and p e_j at every
+other column j.  That matrix is already in HNF, which makes equality,
+ordering and deduplication exact.
 
 Matrices are tuples of row tuples of Python ints, as in :mod:`.linalg`.
 Route 2 needs two ranks only: G_k = Z x| G_{k-1} acts on Z and H_k =
@@ -117,24 +118,17 @@ def reduce_mod_p(action: ModuleAction, p: int) -> ModuleAction:
 
 @dataclass(frozen=True, eq=False)
 class Submodule:
-    """An invariant subspace of F_p^r together with its preimage lattice.
+    """An invariant subspace of F_p^r, which fixes its preimage lattice.
 
     ``subspace_basis`` is the RREF basis (possibly empty, for the zero
-    subspace); ``lattice_basis`` is the HNF basis of the preimage of the
-    subspace in Z^r, a sublattice of index p^codim containing pZ^r.
+    subspace).  The preimage of the subspace in Z^r is a sublattice of
+    index p^codim containing pZ^r; ``lattice_basis`` writes its HNF basis
+    down from the RREF basis: the basis row at each pivot column, p e_j at
+    every other column j.
     """
 
     ambient: ModuleAction
     subspace_basis: tuple[tuple[int, ...], ...]
-    lattice_basis: Matrix
-    index: int
-
-    def __post_init__(self):
-        basis = as_int_matrix(self.lattice_basis)
-        d = abs(int_det(basis))
-        if d != self.index:
-            raise ValueError(f"lattice basis determinant {d} != index {self.index}")
-        object.__setattr__(self, "lattice_basis", basis)
 
     @property
     def p(self) -> int:
@@ -144,22 +138,18 @@ class Submodule:
     def codim(self) -> int:
         return self.ambient.rank - len(self.subspace_basis)
 
+    @property
+    def index(self) -> int:
+        return self.p ** self.codim
 
-def _submodule_from_subspace(action: ModuleAction, basis) -> Submodule:
-    """The preimage lattice of an RREF basis, in HNF: the basis row at each
-    pivot column, p e_j at every other column j."""
-    p, r = action.p, action.rank
-    by_pivot = dict(zip(_pivots(basis), basis))
-    lattice = tuple(
-        by_pivot[j] if j in by_pivot else tuple(p if i == j else 0 for i in range(r))
-        for j in range(r)
-    )
-    return Submodule(
-        ambient=action,
-        subspace_basis=basis,
-        lattice_basis=lattice,
-        index=p ** (r - len(basis)),
-    )
+    @property
+    def lattice_basis(self) -> Matrix:
+        p, r = self.p, self.ambient.rank
+        by_pivot = dict(zip(_pivots(self.subspace_basis), self.subspace_basis))
+        return tuple(
+            by_pivot[j] if j in by_pivot else tuple(p if i == j else 0 for i in range(r))
+            for j in range(r)
+        )
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
@@ -255,22 +245,20 @@ def invariant_subspaces(action: ModuleAction, codim: int) -> list[Submodule]:
     if not 1 <= codim <= r:
         raise ValueError(f"codim must lie in 1..{r}")
     if codim == r:
-        return [_submodule_from_subspace(action, ())]  # only the zero subspace
+        return [Submodule(action, ())]  # only the zero subspace
     lines = sorted(_invariant_lines_rank2(action))  # r = 2, codim = 1
-    return [_submodule_from_subspace(action, basis) for basis in lines]
+    return [Submodule(action, basis) for basis in lines]
 
 
-def quotient_action(action: ModuleAction, sub: Submodule) -> ModuleAction:
+def quotient_action(sub: Submodule) -> ModuleAction:
     """Action induced on F_p^r / subspace, in the complement basis given by
     the coordinate vectors at the non-pivot columns of the RREF basis."""
-    p, r = action.p, action.rank
-    if p is None or sub.p != p or sub.ambient.rank != r:
-        raise ValueError("submodule does not match the action")
-    basis = sub.subspace_basis
+    action, basis = sub.ambient, sub.subspace_basis
+    p = action.p
     pivots = _pivots(basis)
     if not _is_invariant(action, basis, pivots):
         raise ValueError("subspace is not invariant under the action")
-    comp = [j for j in range(r) if j not in pivots]
+    comp = [j for j in range(action.rank) if j not in pivots]
     mats = []
     for m in action.matrices:
         # column j of m is the image of e_j; keep its complement coordinates

@@ -4,9 +4,11 @@ quotient's counts, maximal submodule data and derivation counts.
 The engine evaluates m_n(N x| G) = m_n(G) + sum over maximal submodules
 N_0 <= N of index n of |Der(G, N/N_0)|.  This identity is treated as an
 axiom here (it is imported, not re-proved); the low-index oracle validates
-it empirically.  Iterating it up the chain G_1 < G_2 < ... gives a route
-to m_n(G_k) and m_n(H_k) that is independent of the closed forms: H_k
-takes its G_2 term from the G_2 level of the same chain.
+it empirically.  Walking it up a chain gives a route to m_n(G_k) and
+m_n(H_k) that is independent of the closed forms: start from m_n(Z) (1
+at a prime n, else 0), and let each level add its derivation counts to
+the count one level down.  G_k walks Z < G_2 < ... < G_k, and H_k walks
+Z < G_2 < Z^2 x| G_2.
 
 Each chain level -- Z x| G_{i-1} for G_i, and the lattice extension for
 H_k -- is built and validated once and then memoized, so a sweep over n
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .core import GroupPresentation, IndexClass, classify_index, hk_action_matrices, make_gk
 from .derivations import CocycleSystem, build_system, count_derivations, solution_space
@@ -51,22 +52,17 @@ class SplitExtension:
 
 
 def max_count_split(
-    ext: SplitExtension,
-    m_n_of_quotient: Callable[[int], int],
-    n: int,
-    *,
-    index_class: IndexClass | None = None,
+    ext: SplitExtension, quotient_count: int, n: int, *, index_class: IndexClass | None = None
 ) -> int:
-    """m_n of the extension: quotient count plus one derivation count per
-    maximal submodule of index n.  A caller that has already classified n
-    passes ``index_class=classify_index(n)``."""
+    """m_n of the extension: the quotient's m_n, ``quotient_count``, plus one
+    derivation count per maximal submodule of index n.  A caller that has
+    already classified n passes ``index_class=classify_index(n)``."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    total = m_n_of_quotient(n)
+    total = quotient_count
     for sub in maximal_submodules(ext.module, n, index_class=index_class):
         if sub.subspace_basis:
-            induced = quotient_action(sub.ambient, sub)
-            total += count_derivations(ext.quotient, induced).count
+            total += count_derivations(ext.quotient, quotient_action(sub)).count
         else:  # N_0 = pN: N/N_0 is N reduced mod p
             total += solution_space(ext.cocycles, sub.p).count
     return total
@@ -95,13 +91,13 @@ def _hk_level(k: int) -> SplitExtension:
     return hk_lattice_extension(k)
 
 
-def _gk_chain(k: int, n: int, cls: IndexClass) -> int:
+def _chain_count(levels, n: int, cls: IndexClass) -> int:
+    """m_n at the top of a chain of split extensions over Z: each level adds
+    its derivation counts to the count one level down."""
     # base case: the maximal subgroups of Z are exactly the pZ
     count = 1 if cls.kind == "prime" else 0
-    for i in range(2, k + 1):
-        count = max_count_split(
-            _gk_level(i), lambda _n, value=count: value, n, index_class=cls
-        )
+    for level in levels:
+        count = max_count_split(level, count, n, index_class=cls)
     return count
 
 
@@ -112,7 +108,7 @@ def recursive_gk(k: int, n: int) -> int:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return _gk_chain(k, n, classify_index(n))
+    return _chain_count(map(_gk_level, range(2, k + 1)), n, classify_index(n))
 
 
 def hk_lattice_extension(k: int) -> SplitExtension:
@@ -122,9 +118,7 @@ def hk_lattice_extension(k: int) -> SplitExtension:
 
 
 def recursive_hk(k: int, n: int) -> int:
-    """m_n(H_k) from the G_2 level of the chain plus lattice submodule data."""
+    """m_n(H_k) up the chain Z < G_2 < Z^2 x| G_2."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    cls = classify_index(n)
-    m_n_g2 = _gk_chain(2, n, cls)
-    return max_count_split(_hk_level(k), lambda _n: m_n_g2, n, index_class=cls)
+    return _chain_count((_gk_level(2), _hk_level(k)), n, classify_index(n))

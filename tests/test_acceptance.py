@@ -143,7 +143,7 @@ def test_criterion_5_derivation_closed_forms():
             for p in primes:
                 for n in (p, p * p):
                     for sub in maximal_submodules(lattice, n):
-                        induced = quotient_action(sub.ambient, sub)
+                        induced = quotient_action(sub)
                         if n == p:
                             # Z^2/M_p gives p^2, Z^2/M_{p,-1} gives p
                             want = p * p if (k - 2) % p == 0 else p
@@ -161,7 +161,7 @@ def test_criterion_5_derivation_closed_forms():
             for p in (2, 3, 5):
                 for n in (p, p * p):
                     for sub in maximal_submodules(lattice, n):
-                        induced = quotient_action(sub.ambient, sub)
+                        induced = quotient_action(sub)
                         assert brute_force_count(pres2, induced) == count_derivations(
                             pres2, induced
                         ).count, (k, p, n)

@@ -323,6 +323,14 @@ class TestNoniso:
         )
         assert json.loads(out) == {"certificate": None}
 
+    def test_json_bytes(self, capsys):
+        code, out, _ = run(["noniso", "--i", "0", "--j", "4", "--format", "json"], capsys)
+        assert code == 0
+        assert out == (
+            '{"certificate": {"i": 0, "j": 4, "p": 3, "side": "plus", '
+            '"count_i": 4, "count_j": 7}}\n'
+        )
+
     def test_k_beyond_int64(self, capsys):
         code, out, _ = run(["noniso", "--i", str(2 ** 64 + 2), "--j", "2"], capsys)
         assert code == 0

@@ -8,6 +8,7 @@ from maxgrowth.core import (
     ALL_PRIMES,
     GroupPresentation,
     GroupSpec,
+    MAX_RELATOR_LENGTH,
     MR_BOUND,
     PrimeSet,
     classify_index,
@@ -298,6 +299,17 @@ class TestLatticePresentation:
     def test_rejects_other_ranks(self):
         with pytest.raises(ValueError):
             lattice_presentation([[1]], [[1]])
+
+    def test_rejects_relators_past_the_cap_before_spelling_them(self):
+        # H_k's longest relator has |k| + 4 letters; a huge k fails at once
+        for k in (997, -997, 10 ** 19):
+            with pytest.raises(ValueError, match="relators of at most"):
+                make_hk(k)
+        for k in (996, -996):
+            assert max(map(len, make_hk(k)[0].relators)) == MAX_RELATOR_LENGTH
+        # any pair: B = [[1, x], [0, -1]] with A = I spells t2 b^-1 t1^-x
+        with pytest.raises(ValueError, match="relators of at most"):
+            lattice_presentation(((1, 0), (0, 1)), ((1, MAX_RELATOR_LENGTH), (0, -1)))
 
     def test_trivial_action_is_z2_times_g2(self):
         pres = lattice_presentation(np.eye(2, dtype=np.int64), ((1, 0), (0, 1)))

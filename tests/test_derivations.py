@@ -88,7 +88,7 @@ class TestBuildSystem:
         # both coefficient blocks vanish on Z^2/M_p when p | k - 2
         red = g2_lattice_action(5, 3)
         sub = invariant_subspaces(red, 1)[0]
-        q = quotient_action(red, sub)
+        q = quotient_action(sub)
         system = build_system(make_gk(2), q)
         assert not np.array(system.rows).any()
 
@@ -137,9 +137,9 @@ class TestClosedForms:
             tag = "Mp" if sub.subspace_basis == ((1, 1),) else "MpMinus1"
             if p == 2:
                 tag = "Mp"  # the coincidence case
-            yield tag, quotient_action(sub.ambient, sub)
+            yield tag, quotient_action(sub)
         for sub in maximal_submodules(act, p * p):
-            yield "PZ2", quotient_action(sub.ambient, sub)
+            yield "PZ2", quotient_action(sub)
 
     def test_rank2_closed_form_sweep(self):
         # |S|^2 = p^2 on Z^2/M_p, |S| = p on Z^2/M_{p,-1} (p > 2),
@@ -163,7 +163,7 @@ class TestClosedForms:
         ]:
             act = ModuleAction(2, None, hk_action_matrices(k))
             (sub,) = maximal_submodules(act, n)
-            q = quotient_action(sub.ambient, sub)
+            q = quotient_action(sub)
             assert count_derivations(pres, q).count == expected
 
 
@@ -192,7 +192,7 @@ class TestBruteForce:
                 act = ModuleAction(2, None, hk_action_matrices(k))
                 for n in (p, p * p):
                     for sub in maximal_submodules(act, n):
-                        q = quotient_action(sub.ambient, sub)
+                        q = quotient_action(sub)
                         assert (
                             brute_force_count(pres, q)
                             == count_derivations(pres, q).count

@@ -9,6 +9,7 @@ from maxgrowth.core import hk_action_matrices, make_gk, primes_up_to
 from maxgrowth.linalg import int_det
 from maxgrowth.modules import (
     ModuleAction,
+    Submodule,
     _sqrt_mod,
     classify_rank2_submodules,
     invariant_subspaces,
@@ -263,6 +264,23 @@ class TestSubmoduleData:
                         unit[i] = p
                         assert lattice_contains(basis, unit)  # pZ^r inside
 
+    def test_hand_built_submodule_derives_the_same_data(self):
+        # a Submodule is its action and subspace basis; index, codim and the
+        # HNF preimage basis are read off them
+        for k in range(-6, 7):
+            for p in (2, 3, 5, 7):
+                red = reduce_mod_p(hk_action(k), p)
+                for codim in (1, 2):
+                    for found in invariant_subspaces(red, codim):
+                        built = Submodule(red, found.subspace_basis)
+                        assert built.codim == found.codim == codim
+                        assert built.index == found.index == p ** codim
+                        assert built.lattice_basis == found.lattice_basis
+        assert Submodule(reduce_mod_p(hk_action(5), 3), ((1, 1),)).lattice_basis == (
+            (1, 1),
+            (0, 3),
+        )
+
     def test_known_lattice_bases(self):
         m3 = invariant_subspaces(reduce_mod_p(hk_action(5), 3), 1)
         assert [s.lattice_basis for s in m3] == [((1, 1), (0, 3))]
@@ -316,28 +334,28 @@ class TestQuotientAction:
         # exactly what makes both cocycle coefficient blocks vanish
         red = reduce_mod_p(hk_action(2), 3)
         sub = invariant_subspaces(red, 1)[0]
-        q = quotient_action(red, sub)
+        q = quotient_action(sub)
         assert q.matrices == (((2,),), ((1,),))
 
     def test_quotient_by_mp_minus_one_line(self):
         # on Z^2/M_{p,-1} (p | k+2, p odd) the swap acts by +1 and B_k by -1
         red = reduce_mod_p(hk_action(3), 5)
         sub = invariant_subspaces(red, 1)[0]
-        q = quotient_action(red, sub)
+        q = quotient_action(sub)
         assert q.matrices == (((1,),), ((4,),))
 
     def test_quotient_by_zero_subspace_is_identity_quotient(self):
         red = reduce_mod_p(hk_action(1), 5)
         sub = invariant_subspaces(red, 2)[0]
-        q = quotient_action(red, sub)
+        q = quotient_action(sub)
         assert q.matrices == red.matrices
 
     def test_rejects_non_invariant_subspace(self):
         red = reduce_mod_p(hk_action(1), 5)
         donor = reduce_mod_p(hk_action(3), 5)
-        sub = invariant_subspaces(donor, 1)[0]  # the (1,4) line, not invariant for k=1
-        with pytest.raises(ValueError):
-            quotient_action(red, sub)
+        (donor_line,) = invariant_subspaces(donor, 1)  # the (1,4) line, not invariant for k=1
+        with pytest.raises(ValueError, match="not invariant"):
+            quotient_action(Submodule(red, donor_line.subspace_basis))
 
 
 class TestClassification:

@@ -41,11 +41,11 @@ class TestSplitExtension:
     def test_examples(self):
         # G_2 = Z x| G_1 at n = 3: 1 + |Der(G_1, Z/3)| = 4
         ext = SplitExtension(make_gk(1), ModuleAction(1, None, (np.array([[-1]]),)))
-        assert max_count_split(ext, lambda n: 1, 3) == 4
+        assert max_count_split(ext, 1, 3) == 4
         # H_1 at n = 3: m_3(G_2) + |Der(G_2, Z^2/M_{3,-1})| = 4 + 3
-        assert max_count_split(hk_lattice_extension(1), lambda n: 4, 3) == 7
+        assert max_count_split(hk_lattice_extension(1), 4, 3) == 7
         # composite n contributes nothing beyond the quotient
-        assert max_count_split(hk_lattice_extension(1), lambda n: 17, 12) == 17
+        assert max_count_split(hk_lattice_extension(1), 17, 12) == 17
 
 
 class TestRecursiveGk:
@@ -139,10 +139,10 @@ class TestIntegralCocycles:
         indices = list(primes_up_to(199)) + [p * p for p in primes_up_to(29)]
         for n in indices:
             expected = sum(
-                count_derivations(ext.quotient, quotient_action(sub.ambient, sub)).count
+                count_derivations(ext.quotient, quotient_action(sub)).count
                 for sub in maximal_submodules(ext.module, n)
             )
-            assert max_count_split(ext, lambda _n: 0, n) == expected, n
+            assert max_count_split(ext, 0, n) == expected, n
 
 
 class TestSmithPath:
@@ -195,7 +195,7 @@ class TestSummandTable:
         for p in primes_up_to(31):
             for k in range(-10, 11):
                 ext = hk_lattice_extension(k)
-                sigma_p = max_count_split(ext, lambda n: 0, p)
+                sigma_p = max_count_split(ext, 0, p)
                 if (k - 2) % p == 0:
                     assert sigma_p == p * p, (p, k)
                 elif (k + 2) % p == 0 and p > 2:
@@ -203,7 +203,7 @@ class TestSummandTable:
                 else:
                     # p coprime to (k-2)(k+2): no index-p submodule at all
                     assert sigma_p == 0, (p, k)
-                sigma_p2 = max_count_split(ext, lambda n: 0, p * p)
+                sigma_p2 = max_count_split(ext, 0, p * p)
                 expected = 0 if ((k - 2) * (k + 2)) % p == 0 else p * p
                 assert sigma_p2 == expected, (p, k)
 
@@ -211,8 +211,8 @@ class TestSummandTable:
         # output minus the quotient count is a sum of powers of p
         for k, n in [(2, 7), (1, 3), (3, 9), (0, 4), (4, 25), (5, 8)]:
             ext = hk_lattice_extension(k)
-            base = max_count_split(ext, lambda _n: 0, n)
-            assert max_count_split(ext, lambda _n: 100, n) == base + 100
+            base = max_count_split(ext, 0, n)
+            assert max_count_split(ext, 100, n) == base + 100
 
 
 def _clear_level_caches():
@@ -292,7 +292,7 @@ class TestLatticeCorpus:
     def test_route_2_matches_oracle(self, mat_a, mat_b, counts):
         ext = SplitExtension(make_gk(2), ModuleAction(2, None, (mat_a, mat_b)))
         oracle = oracle_max_counts(lattice_presentation(mat_a, mat_b), 9)
-        route_2 = {n: max_count_split(ext, lambda n: recursive_gk(2, n), n) for n in range(2, 10)}
+        route_2 = {n: max_count_split(ext, recursive_gk(2, n), n) for n in range(2, 10)}
         assert route_2 == oracle == dict(zip(range(2, 10), counts))
 
 
