@@ -8,7 +8,8 @@ has a prime factor of at least MR_BOUND ~ 3.3 * 10^24 (Miller-Rabin is
 proven only below it).  The recursion reads the invariant lines of F_p^2
 off a quadratic mod p rather than scanning them, so it takes any prime.
 The environment variable MAXGROWTH_NODE_BUDGET overrides the node budget of
-the enumeration oracle; a cell whose search exceeds the budget is skipped
+the enumeration oracle; a value that is not an integer of at least 1 is a
+usage error.  A cell whose search exceeds the budget is skipped
 rather than failing the run: ``verify`` reports it as SKIPPED, and
 ``table`` leaves out its oracle row and names the skipped n on stderr.  The oracle runs
 one search per k for every index it checks, and a cell is skipped
@@ -17,9 +18,11 @@ the oracle on, a k whose presentation has more generators or a longer
 relator than the oracle takes (G_k with k > 6, H_k with |k| > 996) is a
 usage error, raised before the first line.  The oracle counts m_n from
 one coset table per conjugacy class of subgroups, weighted by the size
-of the class, and splits each search over the CPUs the process may use,
-at most two, with no option to set: the output is the same for any
-number of CPUs.
+of the class; its search keeps only the classes of maximal subgroups,
+tested where each table is found, with the same nodes and node count as
+a search that keeps them all.  It splits each search over the CPUs the
+process may use, at most two, with no option to set: the output is the
+same for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -70,9 +73,12 @@ def _node_budget() -> int:
     if raw is None:
         return DEFAULT_NODE_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"MAXGROWTH_NODE_BUDGET must be an integer, got {raw!r}")
+    if budget < 1:
+        raise ValueError(f"MAXGROWTH_NODE_BUDGET must be at least 1, got {raw!r}")
+    return budget
 
 
 def _check_k(family: str, k: int) -> None:

@@ -123,6 +123,12 @@ def solution_space(system: CocycleSystem, p: int) -> DerivationSpace:
     elimination over F_p for a system over F_p."""
     if not is_prime(p):
         raise ValueError(f"derivations are counted mod a prime, got p={p}")
+    return _solution_space(system, p)
+
+
+def _solution_space(system: CocycleSystem, p: int) -> DerivationSpace:
+    """``solution_space`` for a p already proven prime: the p of a reduced
+    ``ModuleAction``, which proves it when it is built."""
     if system.p is None:
         rank = sum(1 for d in system.invariants if d % p)
     elif system.p == p:
@@ -135,7 +141,7 @@ def solution_space(system: CocycleSystem, p: int) -> DerivationSpace:
 def count_derivations(presentation: GroupPresentation, action: ModuleAction) -> DerivationSpace:
     """|Der(G, S)| for a module S over F_p."""
     _require_reduced(action)
-    return solution_space(build_system(presentation, action), action.p)
+    return _solution_space(build_system(presentation, action), action.p)
 
 
 def brute_force_count(presentation: GroupPresentation, action: ModuleAction) -> int:

@@ -49,7 +49,11 @@ caller) merges the tables by subtree, with a subtree's tables before the
 tables found above the split depth that follow it in search order, which
 only worker 0 keeps; the sort is stable and one worker finds all of a
 subtree's tables in their search order, so the merged list is the serial
-one.  The nodes above the split depth are the same in every worker, so
+one.  A worker filters the tables it finds itself (``primitive`` keeps
+the maximal ones only), before they get a merge key, so only the kept
+tables cross the pipe; filtering a complete table, a leaf, changes no
+node and no node count, and the kept tables stay in serial order.  The
+nodes above the split depth are the same in every worker, so
 the serial search's node count is those nodes plus each worker's nodes
 below them, and the budget is checked against that total once the workers
 are done: the split raises ``SearchBudgetExceeded`` exactly when the serial
@@ -64,9 +68,11 @@ the action on its cosets is primitive, i.e. admits no nontrivial block
 system.  Prime degree transitive actions are always primitive, so prime
 index short-circuits to True.  Conjugate subgroups are all maximal or all
 not, so the oracle counts m_n as the sum of class sizes over the
-primitive class representatives.  The oracle searches a copy of the
-presentation with its generators reordered (``_search_order``): m_n does
-not depend on that order, and the order chosen visits fewer nodes.
+primitive class representatives, which its search returns alone
+(``primitive``), each checked again by ``is_primitive``.  The oracle
+searches a copy of the presentation with its generators reordered
+(``_search_order``): m_n does not depend on that order, and the order
+chosen visits fewer nodes.
 """
 
 from __future__ import annotations
@@ -137,13 +143,18 @@ def low_index_subgroups(
     node_budget: int | None = None,
     upto: bool = False,
     classes: bool = False,
+    primitive: bool = False,
 ) -> list[CosetTable]:
     """All index-n subgroups of the presented group, as canonical tables,
     in deterministic (depth-first) order.  With ``upto`` the same search
     also keeps every complete table with 2..n - 1 cosets, so one call
     returns the subgroups of every index 2..n, in search order.  With
     ``classes`` it keeps one table per conjugacy class instead: the least
-    of the class in scan order, which ``class_size`` weighs.  Any n >= 2
+    of the class in scan order, which ``class_size`` weighs.  With
+    ``primitive`` it keeps only the tables whose coset action is
+    primitive, i.e. the maximal subgroups; the test runs in the worker
+    that finds the table, after the class test, and leaves the nodes, the
+    node count and the order of the kept tables as they are.  Any n >= 2
     is accepted; the node budget is what bounds the search.
 
     The index-j search visits exactly the nodes of this one whose tables
@@ -292,7 +303,10 @@ def low_index_subgroups(
                 stack.append((pos, iter(candidates), len(trail), nc))
             elif nc >= least:
                 flat = [x // width for x in table[:limit]]
-                if not classes or _rerooting_orbit_size(flat, nc, width, least_only=True):
+                keep = not classes or _rerooting_orbit_size(flat, nc, width, least_only=True)
+                if keep and primitive:  # as is_primitive, on the flat table
+                    keep = is_prime(nc) or not _has_block_system(flat, nc, width)
+                if keep:
                     keys.append(2 * subtree + (len(stack) < SPLIT_DEPTH))
                     entries = tuple(tuple(flat[i : i + width]) for i in range(0, limit, width))
                     results.append(CosetTable(num_generators=m, entries=entries))
@@ -558,23 +572,21 @@ def class_size(table: CosetTable) -> int:
     return table.n // _rerooting_orbit_size(flat, table.n, width, least_only=False)
 
 
-def has_nontrivial_block_system(table: CosetTable) -> bool:
-    """Whether the coset action preserves a partition other than the two
-    trivial ones.  Runs the minimal-block closure seeded with each pair
-    {0, beta}: the partition generated by one merged pair is the finest
-    block system joining that pair, so the action is imprimitive exactly
-    when some seed closes up short of the full coset set."""
-    n = table.n
-    gens = [table.generator_permutation(g) for g in range(table.num_generators)]
+def _has_block_system(flat: list[int], n: int, width: int) -> bool:
+    """``has_nontrivial_block_system`` on a complete table flattened row by
+    row, ``width`` entries a row.  The partition generated by one merged
+    pair joins all n cosets exactly when its closure makes n - 1 merges."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for beta in range(1, n):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parent[:] = range(n)
+        merges = 0
         stack = [(0, beta)]
         while stack:
             x, y = stack.pop()
@@ -582,12 +594,24 @@ def has_nontrivial_block_system(table: CosetTable) -> bool:
             if rx == ry:
                 continue
             parent[max(rx, ry)] = min(rx, ry)
-            for g in gens:
-                stack.append((g[x], g[y]))
-        block = sum(1 for x in range(n) if find(x) == find(0))
-        if block < n:
+            merges += 1
+            x *= width
+            y *= width
+            for c in range(0, width, 2):  # the generators' columns
+                stack.append((flat[x + c], flat[y + c]))
+        if merges < n - 1:
             return True
     return False
+
+
+def has_nontrivial_block_system(table: CosetTable) -> bool:
+    """Whether the coset action preserves a partition other than the two
+    trivial ones.  Runs the minimal-block closure seeded with each pair
+    {0, beta}: the partition generated by one merged pair is the finest
+    block system joining that pair, so the action is imprimitive exactly
+    when some seed closes up short of the full coset set."""
+    flat = [x for row in table.entries for x in row]
+    return _has_block_system(flat, table.n, 2 * table.num_generators)
 
 
 def is_primitive(table: CosetTable) -> bool:
@@ -630,8 +654,12 @@ def oracle_max_count(pres: GroupPresentation, n: int, *, node_budget: int | None
 
     The search runs on a copy of ``pres`` with its generators reordered
     (``_search_order``), since m_n does not depend on that order; the node
-    budget counts the nodes of that search."""
-    tables = low_index_subgroups(_search_order(pres), n, node_budget=node_budget, classes=True)
+    budget counts the nodes of that search.  The search returns the
+    primitive representatives only, and ``is_primitive`` checks them
+    again here."""
+    tables = low_index_subgroups(
+        _search_order(pres), n, node_budget=node_budget, classes=True, primitive=True
+    )
     return sum(class_size(t) for t in tables if is_primitive(t))
 
 
@@ -650,7 +678,12 @@ def oracle_max_counts(
     once one index runs out every larger index does."""
     try:
         tables = low_index_subgroups(
-            _search_order(pres), nmax, node_budget=node_budget, upto=True, classes=True
+            _search_order(pres),
+            nmax,
+            node_budget=node_budget,
+            upto=True,
+            classes=True,
+            primitive=True,
         )
     except SearchBudgetExceeded:
         counts: dict[int, int | None] = dict.fromkeys(range(2, nmax + 1))

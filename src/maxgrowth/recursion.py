@@ -30,7 +30,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .core import GroupPresentation, IndexClass, classify_index, hk_action_matrices, make_gk
-from .derivations import CocycleSystem, build_system, count_derivations, solution_space
+from .derivations import CocycleSystem, _solution_space, build_system, count_derivations
 from .modules import ModuleAction, maximal_submodules, quotient_action
 
 
@@ -63,8 +63,8 @@ def max_count_split(
     for sub in maximal_submodules(ext.module, n, index_class=index_class):
         if sub.subspace_basis:
             total += count_derivations(ext.quotient, quotient_action(sub)).count
-        else:  # N_0 = pN: N/N_0 is N reduced mod p
-            total += solution_space(ext.cocycles, sub.p).count
+        else:  # N_0 = pN: N/N_0 is N reduced mod p, whose action proved p prime
+            total += _solution_space(ext.cocycles, sub.p).count
     return total
 
 

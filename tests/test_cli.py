@@ -222,6 +222,18 @@ class TestVerify:
         assert code == 2
         assert "MAXGROWTH_NODE_BUDGET" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_env_budget_below_one(self, budget, capsys, monkeypatch):
+        # a budget below one node would skip every oracle cell and exit 0
+        monkeypatch.setenv("MAXGROWTH_NODE_BUDGET", budget)
+        code, out, err = run(
+            ["verify", "--family", "gk", "--k", "2", "--nmax", "4", "--oracle-nmax", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"MAXGROWTH_NODE_BUDGET must be at least 1, got '{budget}'" in err
+
     def test_failure_exit(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_recursion", lambda family, k, n: -1)
         code, out, _ = run(

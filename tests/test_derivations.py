@@ -5,6 +5,7 @@ import pytest
 
 from maxgrowth.core import hk_action_matrices, make_gk, primes_up_to
 from maxgrowth.derivations import (
+    CocycleSystem,
     brute_force_count,
     build_system,
     count_derivations,
@@ -110,6 +111,13 @@ class TestBuildSystem:
         system = build_system(make_gk(2), reduce_mod_p(integral, 5))
         with pytest.raises(ValueError):
             solution_space(system, 7)
+
+    @pytest.mark.parametrize("p", [4, 9, 1])
+    def test_solution_space_rejects_a_composite_modulus(self, p):
+        # a system over Z/p built by hand, with no action to prove p prime
+        system = CocycleSystem(p=p, num_generators=1, dim=1, rows=((0,),))
+        with pytest.raises(ValueError, match=f"mod a prime, got p={p}"):
+            solution_space(system, p)
 
     def test_mismatched_action_rejected(self):
         with pytest.raises(ValueError):

@@ -604,3 +604,35 @@ lowindex.low_index_subgroups({search})
         finally:
             stop.set()
             thread.join()
+
+
+class TestPrimitiveFilter:
+    """``primitive=True`` keeps the primitive tables of the search that keeps
+    them all, in its order, tested in whichever worker finds each table,
+    and visits the same nodes."""
+
+    @pytest.mark.parametrize("name", PASS_GROUPS)
+    def test_class_pass_keeps_the_primitive_subsequence(self, name, monkeypatch):
+        pres, nodes = PASS_GROUPS[name], TestSplitSearch.PASS_NODES[name]
+        every = low_index_subgroups(pres, 12, upto=True, classes=True)
+        expected = [t for t in every if is_primitive(t)]
+        assert 0 < len(expected) < len(every)
+        for workers in TestSplitSearch.WORKERS:
+            TestSplitSearch.force_workers(monkeypatch, workers)
+            kept = low_index_subgroups(
+                pres, 12, upto=True, classes=True, primitive=True, node_budget=nodes
+            )
+            assert kept == expected, workers
+            with pytest.raises(SearchBudgetExceeded):
+                low_index_subgroups(
+                    pres, 12, upto=True, classes=True, primitive=True, node_budget=nodes - 1
+                )
+
+    def test_every_subgroup_of_one_index(self):
+        # H_1 has 11 subgroups of index 4, 4 of them maximal
+        pres = make_hk(1)[0]
+        every = low_index_subgroups(pres, 4)
+        kept = low_index_subgroups(pres, 4, primitive=True)
+        assert (len(every), len(kept)) == (11, 4)
+        assert kept == [t for t in every if is_primitive(t)]
+        assert oracle_max_count(pres, 4) == len(kept) == max_count_hk(1, 4).count

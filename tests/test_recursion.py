@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from maxgrowth import cli, core, formulas, modules, recursion
+from maxgrowth import cli, core, derivations, formulas, modules, recursion
 from maxgrowth.core import (
     classify_index,
     hk_action_matrices,
@@ -159,6 +159,17 @@ class TestSmithPath:
     def test_rejects_a_modulus_that_is_not_prime(self, p):
         with pytest.raises(ValueError, match=f"p={p}"):
             solution_space(recursion._hk_level(6).cocycles, p)
+
+    def test_route_2_does_not_prove_p_prime_again(self, monkeypatch):
+        # every p reaching the derivation counts comes from a reduced
+        # ModuleAction, which proved it prime when it was built
+        proofs = []
+        monkeypatch.setattr(derivations, "is_prime", lambda p: proofs.append(p) or True)
+        for n in (2, 3, 4, 5, 9, 25, 49, 1009, 1009 ** 2):
+            for k in (-3, 0, 1, 2, 6):
+                assert recursive_hk(k, n) == max_count_hk(k, n).count, (k, n)
+            assert recursive_gk(5, n) == max_count_gk(5, n).count, n
+        assert proofs == []
 
     @pytest.mark.parametrize("k", [12, 20, 30])
     def test_gk_at_large_k(self, k):
