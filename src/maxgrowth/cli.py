@@ -5,24 +5,16 @@ Tables and verdicts go to stdout; diagnostics go to stderr.  Exit status
 is 0 when every computed route agrees, 1 on any inter-method
 disagreement, and 2 on usage errors, also from ``noniso`` when some k -+ 2
 has a prime factor of at least MR_BOUND ~ 3.3 * 10^24 (Miller-Rabin is
-proven only below it).  The recursion reads the invariant lines of F_p^2
-off a quadratic mod p rather than scanning them, so it takes any prime.
-The environment variable MAXGROWTH_NODE_BUDGET overrides the node budget of
-the enumeration oracle; a value that is not an integer of at least 1 is a
-usage error.  A cell whose search exceeds the budget is skipped
+proven only below it).  The recursion takes any prime.  The environment
+variable MAXGROWTH_NODE_BUDGET overrides the node budget of the
+enumeration oracle; a value that is not an integer of at least 1 is a
+usage error.  A cell whose oracle search exceeds the budget is skipped
 rather than failing the run: ``verify`` reports it as SKIPPED, and
-``table`` leaves out its oracle row and names the skipped n on stderr.  The oracle runs
-one search per k for every index it checks, and a cell is skipped
-exactly when a search for its index alone would exceed the budget.  With
-the oracle on, a k whose presentation has more generators or a longer
-relator than the oracle takes (G_k with k > 6, H_k with |k| > 996) is a
-usage error, raised before the first line.  The oracle counts m_n from
-one coset table per conjugacy class of subgroups, weighted by the size
-of the class; its search keeps only the classes of maximal subgroups,
-tested where each table is found, with the same nodes and node count as
-a search that keeps them all.  It splits each search over the CPUs the
-process may use, at most two, with no option to set: the output is the
-same for any number of CPUs.
+``table`` leaves out its oracle row and names the skipped n on stderr.
+A cell is skipped exactly when a search for its index alone would exceed
+the budget.  With the oracle on, a k whose presentation has more
+generators or a longer relator than the oracle takes (G_k with k > 6,
+H_k with |k| > 996) is a usage error, raised before the first line.
 """
 
 from __future__ import annotations
@@ -81,10 +73,6 @@ def _node_budget() -> int:
     return budget
 
 
-def _check_k(family: str, k: int) -> None:
-    GroupSpec(family, k)  # raises ValueError on a bad combination
-
-
 def _check_oracle_k(family: str, k: int) -> None:
     # G_k has k generators, H_k four
     if family == "gk" and k > MAX_GENERATORS:
@@ -108,20 +96,28 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit_rows(rows, fmt: str, out) -> None:
-    if fmt == "csv":
-        print("n,count,case,method", file=out)
-        for row in rows:
-            print(f"{row.n},{row.count},{row.case},{row.method}", file=out)
-    else:
-        for row in rows:
-            print(json.dumps(asdict(row)), file=out)
+def _cross_check(family: str, k: int, nmax: int, recursion: bool, oracle_nmax: int, budget: int):
+    """Yield, for each n = 2..nmax of (family, k): n, the formula's
+    GrowthValue, the recursion's count (None unless ``recursion``), the
+    oracle's count (None past ``oracle_nmax`` or past the budget), and
+    whether the oracle ran out of budget at n.  The oracle runs one pass,
+    to ``oracle_nmax``."""
+    oracle = {}
+    if oracle_nmax >= 2:
+        oracle = oracle_max_counts(_presentation(family, k), oracle_nmax, node_budget=budget)
+    for n in range(2, nmax + 1):
+        found = oracle.get(n)
+        yield (
+            n,
+            _formula(family, k, n),
+            _recursion(family, k, n) if recursion else None,
+            found,
+            found is None and n in oracle,
+        )
 
 
-def cmd_table(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
-    _check_k(args.family, args.k)
+def cmd_table(args) -> int:
+    GroupSpec(args.family, args.k)  # raises ValueError on a bad combination
     if args.nmax < 2:
         raise ValueError(f"--nmax must be >= 2, got {args.nmax}")
     methods = []
@@ -132,46 +128,43 @@ def cmd_table(args, out=None, err=None) -> int:
         if name not in methods:
             methods.append(name)
     budget = _node_budget()
-    oracle = {}
+    oracle_nmax = 0
     if "oracle" in methods:
         _check_oracle_k(args.family, args.k)
-        oracle = oracle_max_counts(
-            _presentation(args.family, args.k), args.nmax, node_budget=budget
-        )
+        oracle_nmax = args.nmax
     rows = []
     disagree = False
-    for n in range(2, args.nmax + 1):
-        growth = _formula(args.family, args.k, n)
-        counts = {}
-        for method in methods:
-            if method == "formula":
-                counts[method] = growth.count
-            elif method == "recursion":
-                counts[method] = _recursion(args.family, args.k, n)
-            elif oracle[n] is None:
-                print(
-                    f"n={n} oracle=SKIPPED: node budget {budget} exceeded at index {n}",
-                    file=err,
-                )
-            else:
-                counts[method] = oracle[n]
+    for n, growth, recursion, oracle, skipped in _cross_check(
+        args.family, args.k, args.nmax, "recursion" in methods, oracle_nmax, budget
+    ):
+        if skipped:
+            print(
+                f"n={n} oracle=SKIPPED: node budget {budget} exceeded at index {n}",
+                file=sys.stderr,
+            )
+        ran = {"formula": growth.count, "recursion": recursion, "oracle": oracle}
+        counts = {method: ran[method] for method in methods if ran[method] is not None}
         if len(set(counts.values())) > 1:
             disagree = True
         for method, count in counts.items():
             rows.append(TableRow(n=n, count=count, case=growth.case_tag, method=method))
-    _emit_rows(rows, args.format, out)
+    if args.format == "csv":
+        print("n,count,case,method")
+        for row in rows:
+            print(f"{row.n},{row.count},{row.case},{row.method}")
+    else:
+        for row in rows:
+            print(json.dumps(asdict(row)))
     if disagree:
-        print("inter-method disagreement detected", file=err)
+        print("inter-method disagreement detected", file=sys.stderr)
     return 1 if disagree else 0
 
 
-def cmd_verify(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_verify(args) -> int:
     k_lo, k_hi = _parse_k_range(args.k)
     # the valid k of each family form an interval, so the ends decide the range
     for k in (k_lo, k_hi):
-        _check_k(args.family, k)
+        GroupSpec(args.family, k)
     if args.nmax < 2:
         raise ValueError(f"--nmax must be >= 2, got {args.nmax}")
     oracle_nmax = min(args.nmax, args.oracle_nmax)
@@ -179,68 +172,51 @@ def cmd_verify(args, out=None, err=None) -> int:
         for k in (k_lo, k_hi):
             _check_oracle_k(args.family, k)
     budget = _node_budget()
-    cells = passes = fails = skips = 0
+    cells = fails = skips = 0
     for k in range(k_lo, k_hi + 1):
-        oracle = {}
-        if oracle_nmax >= 2:
-            oracle = oracle_max_counts(
-                _presentation(args.family, k), oracle_nmax, node_budget=budget
-            )
-        for n in range(2, args.nmax + 1):
-            formula_count = _formula(args.family, k, n).count
-            recursion_count = _recursion(args.family, k, n)
-            values = {formula_count, recursion_count}
-            oracle_text = ""
-            if n in oracle:
-                oracle_count = oracle[n]
-                if oracle_count is None:
-                    skips += 1
-                    oracle_text = " oracle=SKIPPED"
-                else:
-                    values.add(oracle_count)
-                    oracle_text = f" oracle={oracle_count}"
-            verdict = "PASS" if len(values) == 1 else "FAIL"
+        for n, growth, recursion, oracle, skipped in _cross_check(
+            args.family, k, args.nmax, True, oracle_nmax, budget
+        ):
             cells += 1
-            if verdict == "PASS":
-                passes += 1
-            else:
+            values = {growth.count, recursion}
+            oracle_text = ""
+            if skipped:
+                skips += 1
+                oracle_text = " oracle=SKIPPED"
+            elif oracle is not None:
+                values.add(oracle)
+                oracle_text = f" oracle={oracle}"
+            verdict = "PASS"
+            if len(values) > 1:
+                verdict = "FAIL"
                 fails += 1
             print(
-                f"k={k} n={n} formula={formula_count} "
-                f"recursion={recursion_count}{oracle_text} {verdict}",
-                file=out,
+                f"k={k} n={n} formula={growth.count} "
+                f"recursion={recursion}{oracle_text} {verdict}"
             )
-    print(
-        f"summary: cells={cells} pass={passes} fail={fails} oracle_skipped={skips}",
-        file=out,
-    )
+    print(f"summary: cells={cells} pass={cells - fails} fail={fails} oracle_skipped={skips}")
     return 0 if fails == 0 else 1
 
 
-def cmd_noniso(args, out=None, err=None) -> int:
-    out = out or sys.stdout
+def cmd_noniso(args) -> int:
     cert = noniso_certificate(args.i, args.j)
     if args.format == "json":
-        print(json.dumps({"certificate": None if cert is None else asdict(cert)}), file=out)
+        print(json.dumps({"certificate": None if cert is None else asdict(cert)}))
     elif cert is None:
-        print("no certificate from this criterion", file=out)
+        print("no certificate from this criterion")
     else:
         print(
             f"certificate: p={cert.p} side={cert.side} "
-            f"m_p(H_{cert.i})={cert.count_i} m_p(H_{cert.j})={cert.count_j}",
-            file=out,
+            f"m_p(H_{cert.i})={cert.count_i} m_p(H_{cert.j})={cert.count_j}"
         )
     return 0
 
 
-def cmd_mdeg(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    _check_k(args.family, args.k)
+def cmd_mdeg(args) -> int:
     value = mdeg(GroupSpec(args.family, args.k), args.limit)
     print(
         f"family={args.family} k={args.k} exact={value.exact} "
-        f"empirical_slope={value.empirical_slope:.6f}",
-        file=out,
+        f"empirical_slope={value.empirical_slope:.6f}"
     )
     return 0
 

@@ -80,6 +80,7 @@ from __future__ import annotations
 import ctypes
 import os
 import pickle
+import select
 import signal
 import struct
 import threading
@@ -379,6 +380,7 @@ def low_index_subgroups(
 
 # the shared claim counter: the next unclaimed subtree
 _TOKEN = struct.Struct("q")
+_CLAIM_WAKE_S = 0.25  # how often a worker waiting for the counter checks its parent
 _PR_SET_PDEATHSIG = 1  # prctl option: the signal a process gets when its parent ends
 
 
@@ -400,7 +402,8 @@ def _end_with_parent(parent: int) -> None:
     """In a worker just forked from ``parent``: have the kernel kill it when
     the parent ends (Linux ``prctl``), so that a caller killed by a signal,
     which runs no clean-up, leaves no worker searching on.  Without
-    ``prctl`` the worker ends at its next claim instead."""
+    ``prctl`` the worker ends at its next claim, or while it waits for one,
+    instead."""
     try:
         ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     except (AttributeError, OSError):
@@ -422,6 +425,7 @@ class _Split:
         self.parent = os.getpid()
         self.children: list[tuple[int, int]] = []  # (pid, read end of its outcome pipe)
         self.token: tuple[int, int] | None = os.pipe()  # holds the claim counter
+        os.set_blocking(self.token[0], False)  # a claim waits in select, not in read
         try:
             for index in range(1, count):
                 r, w = os.pipe()
@@ -448,11 +452,18 @@ class _Split:
 
     def claim(self) -> int:
         """Claim the next unclaimed subtree.  A worker i > 0 whose parent,
-        worker 0, has ended ends here: nobody would read its tables."""
-        if self.index and os.getppid() != self.parent:
-            os._exit(0)
+        worker 0, has ended ends here, also while it waits for the counter
+        (the parent may have ended holding it): nobody would read its
+        tables."""
         r, w = self.token
-        (claim,) = _TOKEN.unpack(os.read(r, _TOKEN.size))  # blocks while another holds it
+        while True:
+            if self.index and os.getppid() != self.parent:
+                os._exit(0)
+            try:
+                (claim,) = _TOKEN.unpack(os.read(r, _TOKEN.size))
+                break
+            except BlockingIOError:  # another worker holds the counter
+                select.select([r], [], [], _CLAIM_WAKE_S)
         os.write(w, _TOKEN.pack(claim + 1))
         return claim
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -301,6 +302,18 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1] == "summary: cells=4 pass=4 fail=0 oracle_skipped=0"
 
+    def test_huge_generator_range_rejected_at_once(self, capsys):
+        # the cap is arithmetic on k: no presentation of G_100000 is built
+        start = time.monotonic()
+        code, out, err = run(
+            ["verify", "--family", "gk", "--k=1..100000", "--nmax", "3", "--oracle-nmax", "2"],
+            capsys,
+        )
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_oracle_at_index_1100(self, capsys):
         # the oracle search is 1100 levels deep on Z
         code, out, _ = run(
@@ -309,6 +322,49 @@ class TestVerify:
         )
         assert code == 0
         assert out.splitlines()[-1] == "summary: cells=1099 pass=1099 fail=0 oracle_skipped=0"
+
+
+class TestTableAgreesWithVerify:
+    """``table`` with every method and ``verify`` on the same group and
+    nmax report the same counts and skip the oracle at the same n."""
+
+    @staticmethod
+    def table_cells(capsys):
+        argv = ["table", "--family", "hk", "--k", "3", "--nmax", "12"]
+        code, out, err = run(argv + ["--methods", "formula,recursion,oracle"], capsys)
+        assert code == 0
+        counts = {}
+        for line in out.splitlines()[1:]:
+            n, count, _, method = line.split(",")
+            counts[int(n), method] = int(count)
+        skipped = {int(line.split()[0][2:]) for line in err.splitlines()}
+        return counts, skipped
+
+    @staticmethod
+    def verify_cells(capsys):
+        argv = ["verify", "--family", "hk", "--k", "3", "--nmax", "12", "--oracle-nmax", "12"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        counts, skipped = {}, set()
+        for line in out.splitlines()[:-1]:
+            fields = dict(field.split("=") for field in line.split()[1:-1])
+            n = int(fields.pop("n"))
+            for method, count in fields.items():
+                if count == "SKIPPED":
+                    skipped.add(n)
+                else:
+                    counts[n, method] = int(count)
+        return counts, skipped
+
+    @pytest.mark.parametrize("budget, skipped", [(None, set()), ("5000", set(range(8, 13)))])
+    def test_same_counts_and_skips(self, budget, skipped, capsys, monkeypatch):
+        if budget is not None:
+            monkeypatch.setenv("MAXGROWTH_NODE_BUDGET", budget)
+        table = self.table_cells(capsys)
+        assert table == self.verify_cells(capsys)
+        counts, table_skipped = table
+        assert table_skipped == skipped
+        assert len(counts) == 3 * 11 - len(skipped)
 
 
 class TestNoniso:

@@ -40,6 +40,14 @@ GOLDEN = [
         33,
     ),
     (
+        [
+            "table", "--family", "gk", "--k", "3", "--nmax", "13",
+            "--methods", "formula,recursion,oracle",
+        ],
+        "f63cd6ba3f287145b82f7a78452fa4a39dbec895b53cfbe7dadebc55779d94bb",
+        37,
+    ),
+    (
         ["mdeg", "--family", "hk", "--k", "2", "--limit", "1000"],
         "a6d16ad729110c1d91ed0fd34c158827311215cb993bc83c8c827b2f5677f75f",
         1,

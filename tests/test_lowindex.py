@@ -534,16 +534,35 @@ class TestSplitSearch:
             low_index_subgroups(make_hk(3)[0], 10, classes=True)
 
     # a caller that prints the pid of each worker it forks, then searches
-    # on; with "claims" its workers do not ask the kernel to end them with
-    # it, and so end only at their next claim
+    # on; with "claims" and "holding" its workers do not ask the kernel to
+    # end them with it, and so end only at a claim; with "holding" the
+    # caller takes the claim counter at its first claim, prints "held" and
+    # keeps it, so that its worker ends while waiting for the counter
     KILLED_CALLER = """
-import os, sys
+import os, select, sys, time
 from maxgrowth import lowindex
 from maxgrowth.core import make_gk, make_hk
 
 lowindex._worker_count = lambda: 2
-if sys.argv[1] == "claims":
+if sys.argv[1] != "kernel":
     lowindex._end_with_parent = lambda parent: None
+if sys.argv[1] == "holding":
+    claim = lowindex._Split.claim
+
+    def holding_claim(split):
+        if split.index:
+            return claim(split)
+        while True:
+            select.select([split.token[0]], [], [])
+            try:
+                os.read(split.token[0], lowindex._TOKEN.size)
+                break
+            except BlockingIOError:  # the worker took it first
+                pass
+        print("held", flush=True)
+        time.sleep(600)
+
+    lowindex._Split.claim = holding_claim
 fork = os.fork
 
 def announcing_fork():
@@ -557,14 +576,19 @@ lowindex.low_index_subgroups({search})
 """
 
     @staticmethod
-    def ended(pid):
-        """Whether the process has ended: it is gone, or a zombie left to
-        whichever process adopted it."""
+    def state(pid):
+        """The process's state letter in /proc, or None once it is gone."""
         try:
             with open(f"/proc/{pid}/stat") as stat:
-                return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+                return stat.read().rsplit(")", 1)[1].split()[0]
         except FileNotFoundError:
-            return True
+            return None
+
+    @classmethod
+    def ended(cls, pid):
+        """Whether the process has ended: it is gone, or a zombie left to
+        whichever process adopted it."""
+        return cls.state(pid) in (None, "Z")
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
     @pytest.mark.parametrize(
@@ -573,6 +597,7 @@ lowindex.low_index_subgroups({search})
             # Z's path below SPLIT_DEPTH is one subtree: worker 1 never claims
             ("kernel", "make_gk(1), 10 ** 12"),
             ("claims", "make_hk(3)[0], 30, classes=True"),
+            ("holding", "make_hk(3)[0], 30, classes=True"),
         ],
     )
     def test_a_killed_caller_leaves_no_worker(self, ending, search):
@@ -584,14 +609,24 @@ lowindex.low_index_subgroups({search})
         )
         try:
             worker = int(caller.stdout.readline())
+            if ending == "holding":
+                assert caller.stdout.readline() == b"held\n"
+                # kill the caller once its worker sleeps, waiting for the counter
+                deadline = time.monotonic() + 10
+                while self.state(worker) == "R" and time.monotonic() < deadline:
+                    time.sleep(0.02)
         finally:
             caller.kill()  # SIGKILL: the caller runs no clean-up
             caller.wait()
             caller.stdout.close()
-        deadline = time.monotonic() + 10
-        while not self.ended(worker) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert self.ended(worker)
+        try:
+            deadline = time.monotonic() + 10
+            while not self.ended(worker) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert self.ended(worker)
+        finally:
+            if not self.ended(worker):
+                os.kill(worker, signal.SIGKILL)
 
     def test_serial_while_another_thread_is_alive(self):
         cpus = len(os.sched_getaffinity(0))
