@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .linalg import Matrix, as_int_matrix, int_det, int_inverse_unimodular, mat_mul
+from .linalg import Matrix, as_int_matrix, int_det, inverse, mat_mul
 
 Word = tuple[int, ...]
 
@@ -288,7 +288,7 @@ def lattice_presentation(mat_a, mat_b) -> GroupPresentation:
     mat_a, mat_b = as_int_matrix(mat_a), as_int_matrix(mat_b)
     if any(len(mat) != 2 or int_det(mat) not in (1, -1) for mat in (mat_a, mat_b)):
         raise ValueError("the lattice action needs two unimodular 2x2 matrices")
-    if mat_mul(mat_a, mat_b) != mat_mul(int_inverse_unimodular(mat_b), mat_a):  # a b a^-1 b = 1
+    if mat_mul(mat_a, mat_b) != mat_mul(inverse(mat_b), mat_a):  # a b a^-1 b = 1
         raise ValueError("the matrices fail the G_2 relator a b a^-1 b = 1")
     longest = max(3 + abs(mat[0][i]) + abs(mat[1][i]) for mat in (mat_a, mat_b) for i in (0, 1))
     if longest > MAX_RELATOR_LENGTH:

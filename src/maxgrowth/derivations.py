@@ -3,7 +3,7 @@
 A derivation is a map d with d(gh) = d(g) + g.d(h).  A function on the
 generators extends to a derivation of the whole group exactly when the
 induced functional vanishes on every relator, so Der(G, S) is the solution
-set of one linear system over F_p per relator.  Counting solutions is a
+set of one linear system over F_p, one block row per relator.  Counting solutions is a
 rank computation; an exhaustive search over all generator assignments
 serves as an independent oracle for the same count.
 

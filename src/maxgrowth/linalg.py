@@ -2,13 +2,13 @@
 
 A matrix is a tuple of row tuples of Python ints: immutable, so results
 can be shared and memoized, and exact at any size of entry or modulus.
-Inputs may be any nested sequence of ints, arrays included.
+as_int_matrix normalizes any nested sequence of ints, arrays included.
 
-Everything here works on tiny dense matrices (rank <= 2 in practice, plus
-cocycle systems with a few hundred rows), so the implementations favour
-exactness and determinism over asymptotics: cofactor determinants, plain
-Gaussian elimination over F_p with first-nonzero pivoting, and one exact
-integer elimination, smith_invariants, for the Smith invariants of an
+Route 2 acts on lattices of rank 1 and 2 only, so determinants and
+inverses are the 1x1 and 2x2 closed forms: inverse is the adjugate over
+Z (det +-1) or over F_p (det != 0 mod p).  Cocycle systems have a few
+hundred rows; rank_mod is forward elimination over F_p, and one exact
+integer elimination, smith_invariants, gives the Smith invariants of an
 integral system.  Those invariants give the rank of the system mod every
 prime at once: M = U diag(d_1, ..., d_r) V with U, V unimodular, so
 rank_p(M) = #{i : p does not divide d_i} (H. Cohen, A Course in
@@ -43,91 +43,54 @@ def mat_mul(a, b, p: int | None = None) -> Matrix:
     return tuple(tuple(x % p for x in row) for row in prod)
 
 
-def _minor(a: Matrix, i: int, j: int) -> Matrix:
-    return tuple(row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i)
-
-
-def int_det(mat) -> int:
-    """Exact determinant by cofactor expansion (tiny matrices only)."""
-    a = as_int_matrix(mat)
-    n = len(a)
-    if n == 1:
+def int_det(a: Matrix) -> int:
+    """Determinant of a 1x1 or 2x2 Matrix, as normalized by as_int_matrix."""
+    if len(a) == 1:
         return a[0][0]
-    if n == 2:
+    if len(a) == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return sum((-1) ** j * a[0][j] * int_det(_minor(a, 0, j)) for j in range(n))
+    raise ValueError(f"determinants of 1x1 and 2x2 matrices only, got {len(a)}x{len(a)}")
 
 
-def int_inverse_unimodular(mat) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1 (adjugate)."""
+def inverse(mat, p: int | None = None) -> Matrix:
+    """Inverse of a 1x1 or 2x2 matrix by its adjugate: over Z when p is
+    None, which needs det = +-1, else over F_p, which needs det != 0 mod p."""
     a = as_int_matrix(mat)
     d = int_det(a)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    n = len(a)
-    if n == 1:
-        return ((d,),)
-    return tuple(
-        tuple(d * (-1) ** (i + j) * int_det(_minor(a, j, i)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def rref_mod(mat, p: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over F_p.
-
-    Returns (rref, pivot_columns); zero rows are kept, at the bottom.
-    Pivoting picks the first nonzero entry in each column, which keeps the
-    reduction deterministic.
-    """
-    a = [[int(x) % p for x in row] for row in mat]
-    rows = len(a)
-    pivots: list[int] = []
-    r = 0
-    for c in range(len(a[0]) if a else 0):
-        sel = next((i for i in range(r, rows) if a[i][c]), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(rows):
-            f = a[i][c]
-            if i != r and f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return tuple(map(tuple, a)), pivots
+    if p is None:
+        if d not in (1, -1):
+            raise ValueError("matrix is not unimodular")
+        scale = d  # 1 / d = d
+    else:
+        if d % p == 0:
+            raise ValueError(f"matrix is singular mod {p}")
+        scale = pow(d, -1, p)
+    if len(a) == 1:
+        adjugate = ((1,),)
+    else:
+        (w, x), (y, z) = a
+        adjugate = ((z, -x), (-y, w))
+    inv = tuple(tuple(scale * e for e in row) for row in adjugate)
+    return inv if p is None else tuple(tuple(e % p for e in row) for row in inv)
 
 
 def rank_mod(mat, p: int) -> int:
-    return len(rref_mod(mat, p)[1])
-
-
-def inv_mod(mat, p: int) -> Matrix:
-    """Matrix inverse over F_p, via elimination on an augmented matrix."""
-    a = as_int_matrix(mat)
-    n = len(a)
-    red, pivots = rref_mod([row + e for row, e in zip(a, identity(n))], p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError(f"matrix is singular mod {p}")
-    return tuple(row[n:] for row in red)
-
-
-def reduce_by_rref(vec, rref, pivots: list[int], p: int) -> tuple[int, ...]:
-    """Remainder of a vector after eliminating the pivot coordinates."""
-    v = [int(x) % p for x in vec]
-    for r, c in enumerate(pivots):
-        f = v[c]
-        if f:
-            v = [(x - f * y) % p for x, y in zip(v, rref[r])]
-    return tuple(v)
-
-
-def in_row_span_mod(vec, rref, pivots: list[int], p: int) -> bool:
-    return not any(reduce_by_rref(vec, rref, pivots, p))
+    """Rank over F_p by forward elimination, pivoting on the first row
+    that is nonzero in each column."""
+    rows = [[int(x) % p for x in row] for row in mat]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is None:
+            continue
+        rank += 1
+        inv = pow(pivot[c], -1, p)
+        rows = [
+            [(x - row[c] * inv * y) % p for x, y in zip(row, pivot)] if row[c] else row
+            for row in rows
+            if row is not pivot
+        ]
+    return rank
 
 
 def smith_invariants(mat) -> tuple[int, ...]:

@@ -5,11 +5,10 @@ prime power index p^c and contains pZ^r, so the classification lives in
 F_p^r: submodules of index p^c correspond to invariant subspaces of
 codimension c, and such a submodule is maximal exactly when the induced
 action on the c-dimensional quotient space is simple.  A Submodule is
-its action and the RREF basis of its subspace, nothing more: its index
-and the Hermite normal form basis of its preimage lattice are derived
-from that basis, the RREF row at each pivot column and p e_j at every
-other column j.  That matrix is already in HNF, which makes equality,
-ordering and deduplication exact.
+its action and the reduced basis of its subspace, nothing more: empty
+for the zero subspace, ((1, t),) or ((0, 1),) for a line.  Its index
+and the Hermite normal form basis of its preimage lattice are read off
+that basis, which makes equality, ordering and deduplication exact.
 
 Matrices are tuples of row tuples of Python ints, as in :mod:`.linalg`.
 Route 2 needs two ranks only: G_k = Z x| G_{k-1} acts on Z and H_k =
@@ -21,25 +20,17 @@ d]] exactly when c + (d - a)t - bt^2 = 0 mod p, and the line through
 such lines, the roots of that quadratic, so no prime is too large; only
 an all-scalar action, which fixes all p + 1 lines, is held to
 ENUMERATION_BOUND, and past it invariant_subspaces raises ValueError.
+The quotient by an invariant line is one-dimensional, so each matrix
+acts on it by a character, d - bt or a; quotient_action returns these
+characters as a rank-1 action over F_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .core import GroupPresentation, IndexClass, classify_index, hk_action_matrices, is_prime
-from .linalg import (
-    Matrix,
-    as_int_matrix,
-    identity,
-    in_row_span_mod,
-    int_det,
-    int_inverse_unimodular,
-    inv_mod,
-    mat_mul,
-    reduce_by_rref,
-)
+from .linalg import Matrix, as_int_matrix, identity, int_det, inverse, mat_mul
 
 ENUMERATION_BOUND = 10 ** 6
 
@@ -89,11 +80,7 @@ class ModuleAction:
         if not 0 <= g < self.num_generators:
             raise ValueError(f"unknown generator index {letter}")
         m = self.matrices[g]
-        if letter > 0:
-            return m
-        if self.p is None:
-            return int_inverse_unimodular(m)
-        return inv_mod(m, self.p)
+        return m if letter > 0 else inverse(m, self.p)
 
     def word_matrix(self, word) -> Matrix:
         out = identity(self.rank)
@@ -120,15 +107,30 @@ def reduce_mod_p(action: ModuleAction, p: int) -> ModuleAction:
 class Submodule:
     """An invariant subspace of F_p^r, which fixes its preimage lattice.
 
-    ``subspace_basis`` is the RREF basis (possibly empty, for the zero
-    subspace).  The preimage of the subspace in Z^r is a sublattice of
-    index p^codim containing pZ^r; ``lattice_basis`` writes its HNF basis
-    down from the RREF basis: the basis row at each pivot column, p e_j at
-    every other column j.
+    ``subspace_basis`` is empty for the zero subspace, and otherwise the
+    reduced basis of a line of F_p^2: ((1, t),) with 0 <= t < p, or
+    ((0, 1),).  The preimage of the subspace in Z^r is a sublattice of
+    index p^codim containing pZ^r; ``lattice_basis`` is its HNF basis:
+    pI for the zero subspace, ((1, t), (0, p)) and ((p, 0), (0, 1)) for
+    the lines.  Any other basis raises ValueError, as does an integral
+    ambient.
     """
 
     ambient: ModuleAction
     subspace_basis: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        p, basis = self.ambient.p, self.subspace_basis
+        if p is None:
+            raise ValueError("submodules are subspaces of F_p^r; reduce the action first")
+        if not basis:
+            return
+        if self.ambient.rank == 1:
+            raise ValueError("the only proper subspace of F_p is 0")
+        row, *rest = basis
+        line = tuple(row) == (0, 1) or (len(row) == 2 and row[0] == 1 and 0 <= row[1] < p)
+        if rest or not line:
+            raise ValueError(f"{basis} is not a reduced line basis ((1, t),) or ((0, 1),) mod {p}")
 
     @property
     def p(self) -> int:
@@ -145,11 +147,10 @@ class Submodule:
     @property
     def lattice_basis(self) -> Matrix:
         p, r = self.p, self.ambient.rank
-        by_pivot = dict(zip(_pivots(self.subspace_basis), self.subspace_basis))
-        return tuple(
-            by_pivot[j] if j in by_pivot else tuple(p if i == j else 0 for i in range(r))
-            for j in range(r)
-        )
+        if not self.subspace_basis:
+            return tuple(tuple(p if i == j else 0 for j in range(r)) for i in range(r))
+        ((x, t),) = self.subspace_basis
+        return ((1, t), (0, p)) if x else ((p, 0), (0, 1))
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
@@ -185,6 +186,14 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
+def _fixes_line(mat: Matrix, t: int | None, p: int) -> bool:
+    """Whether [[a, b], [c, d]] maps the line through (1, t) into itself,
+    c + (d - a - bt)t = 0 mod p, or for t None the line through (0, 1),
+    b = 0 mod p."""
+    (a, b), (c, d) = mat
+    return (b if t is None else c + (d - a - b * t) * t) % p == 0
+
+
 def _eigenslopes(mat: Matrix, p: int) -> list[int | None]:
     """Slopes of the invariant lines of one non-scalar matrix mod an odd
     prime: t for the line through (1, t), None for (0, 1)."""
@@ -217,28 +226,14 @@ def _invariant_lines_rank2(action: ModuleAction) -> list[tuple[tuple[int, int], 
         slopes = [*range(p), None]
     else:
         slopes = _eigenslopes(first, p)
-    for (a, b), (c, d) in action.matrices:
-        slopes = [t for t in slopes if (b if t is None else c + (d - a - b * t) * t) % p == 0]
+    for m in action.matrices:
+        slopes = [t for t in slopes if _fixes_line(m, t, p)]
     return [((0, 1) if t is None else (1, t),) for t in slopes]
-
-
-def _pivots(basis) -> list[int]:
-    return [next(j for j, x in enumerate(row) if x) for row in basis]
-
-
-def _is_invariant(action: ModuleAction, basis, pivots: list[int]) -> bool:
-    """Whether every matrix maps the span of an RREF basis into itself."""
-    p = action.p
-    return all(
-        in_row_span_mod([sum(map(mul, row, v)) for row in m], basis, pivots, p)
-        for m in action.matrices
-        for v in basis
-    )
 
 
 def invariant_subspaces(action: ModuleAction, codim: int) -> list[Submodule]:
     """All subspaces of the given codimension invariant under every matrix,
-    in canonical order (lexicographic by RREF basis)."""
+    in canonical order (lexicographic by reduced basis)."""
     if action.p is None:
         raise ValueError("invariant subspaces are computed mod p; reduce first")
     r = action.rank
@@ -251,20 +246,24 @@ def invariant_subspaces(action: ModuleAction, codim: int) -> list[Submodule]:
 
 
 def quotient_action(sub: Submodule) -> ModuleAction:
-    """Action induced on F_p^r / subspace, in the complement basis given by
-    the coordinate vectors at the non-pivot columns of the RREF basis."""
-    action, basis = sub.ambient, sub.subspace_basis
-    p = action.p
-    pivots = _pivots(basis)
-    if not _is_invariant(action, basis, pivots):
-        raise ValueError("subspace is not invariant under the action")
-    comp = [j for j in range(action.rank) if j not in pivots]
-    mats = []
+    """Action induced on F_p^r / subspace.  The zero subspace leaves the
+    action itself.  On the quotient by an invariant line each matrix
+    [[a, b], [c, d]] acts by a character, read off the image of the
+    complement vector: M e_2 = b (1, t) + (d - bt) e_2 gives d - bt on
+    F_p^2 / <(1, t)>, and M e_1 = a e_1 + c (0, 1) gives a on
+    F_p^2 / <(0, 1)>.  Raises ValueError if some matrix moves the line."""
+    action = sub.ambient
+    if not sub.subspace_basis:
+        return action
+    ((x, t),) = sub.subspace_basis
+    slope = t if x else None
+    characters = []
     for m in action.matrices:
-        # column j of m is the image of e_j; keep its complement coordinates
-        cols = [reduce_by_rref([row[j] for row in m], basis, pivots, p) for j in comp]
-        mats.append(tuple(tuple(col[i] for col in cols) for i in comp))
-    return ModuleAction(len(comp), p, tuple(mats))
+        if not _fixes_line(m, slope, action.p):
+            raise ValueError("subspace is not invariant under the action")
+        (a, b), (_, d) = m
+        characters.append(((a if slope is None else d - b * slope,),))
+    return ModuleAction(1, action.p, tuple(characters))
 
 
 def maximal_submodules(

@@ -20,8 +20,10 @@ quotient N/pN is N reduced mod p, so its derivations number p^(unknowns
 - #{invariants d : p does not divide d}), read off the level's
 invariants with no quotient action or elimination per prime: (2,) *
 (i - 2) for the G_i level, (1, |k - 2|) for the H_k level with k != 2,
-and (1,) for H_2.  Each cell classifies n once and hands the class down
-the chain.
+and (1,) for H_2.  A maximal submodule that is an invariant line L of
+F_p^2 leaves a one-dimensional quotient, on which each generator acts by
+a character chi_L; its derivations are counted over F_p.  Each cell
+classifies n once and hands the class down the chain.
 """
 
 from __future__ import annotations

@@ -25,3 +25,15 @@ def test_import_leaves_sympy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_loads_numpy():
+    # bench/run.py's machine_facts reads sys.modules["numpy"], so deferring or
+    # dropping the numpy import in derivations would fail every benchmark run;
+    # ROADMAP item 4 step 1 deletes this test together with that read
+    code = "import sys, maxgrowth.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(maxgrowth.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "True"

@@ -12,7 +12,7 @@ from maxgrowth.derivations import (
     solution_space,
     word_derivation_row,
 )
-from maxgrowth.linalg import int_det, inv_mod
+from maxgrowth.linalg import as_int_matrix, int_det, inverse
 from maxgrowth.modules import (
     ModuleAction,
     invariant_subspaces,
@@ -51,11 +51,11 @@ class TestWordRow:
             act = g2_lattice_action(k, p)
             row = np.array(word_derivation_row((1, 2, -1, 2), act))
             a_mat, b_mat = hk_action_matrices(k)
-            b_inv = np.array(inv_mod(np.array(b_mat) % p, p))
+            b_inv = np.array(inverse(b_mat, p))
             eye = np.eye(2, dtype=np.int64)
             assert np.array_equal(row[:, :2], (eye - b_inv) % p)
             assert np.array_equal(row[:, 2:], (a_mat + b_inv) % p)
-            assert (int_det((eye - b_inv) % p) - (2 - k)) % p == 0
+            assert (int_det(as_int_matrix((eye - b_inv) % p)) - (2 - k)) % p == 0
 
     def test_rank1_relator_row(self):
         # with every generator acting by -1, the relator x1 x2 x1^-1 x2

@@ -358,6 +358,62 @@ class TestQuotientAction:
             quotient_action(Submodule(red, donor_line.subspace_basis))
 
 
+class TestSubmoduleRejects:
+    def test_bases_it_cannot_represent(self):
+        integral = hk_action(2)
+        red = reduce_mod_p(integral, 5)
+        cases = [
+            (integral, ((1, 1),)),  # integral ambient
+            (integral, ()),
+            (minus_one_action(2, 5), ((1,),)),  # rank 1: only the zero subspace
+            (red, ((2, 2),)),  # spans M_5, but is not its reduced basis
+            (red, ((1, 6),)),  # entry outside 0..p-1
+            (red, ((0, 2),)),
+            (red, ((0, 0),)),
+            (red, ((1, 1, 0),)),
+            (red, ((1, 0), (0, 1))),  # the whole space
+        ]
+        for ambient, basis in cases:
+            with pytest.raises(ValueError):
+                Submodule(ambient, basis)
+        m5 = Submodule(red, ((1, 1),))
+        assert (m5.index, m5.lattice_basis) == (5, ((1, 1), (0, 5)))
+        assert quotient_action(m5).matrices == (((4,),), ((1,),))
+
+
+# the actions of TestLatticeCorpus in test_recursion.py
+CORPUS_PAIRS = [
+    (((1, 0), (0, 1)), ((1, 0), (0, 1))),
+    (((-1, 0), (0, -1)), ((1, 0), (0, 1))),
+    (((1, 0), (0, 1)), ((-1, 0), (0, -1))),
+    (((1, 0), (0, -1)), ((-1, 0), (0, 1))),
+    (((1, 0), (0, -1)), ((1, 1), (0, 1))),
+    (((0, 1), (1, 0)), ((0, 1), (-1, 5))),
+    (((0, 1), (1, 0)), ((-1, 0), (0, -1))),
+]
+
+
+class TestLineCharacters:
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_character_against_the_action(self, p):
+        # on F_p^2 / <v> each matrix M acts by the scalar chi with
+        # M w - chi w in <v>, w the complement vector: det[M w - chi w | v] = 0
+        lines = 0
+        for mats in [hk_action_matrices(k) for k in range(-10, 11)] + CORPUS_PAIRS:
+            red = reduce_mod_p(ModuleAction(2, None, mats), p)
+            for sub in invariant_subspaces(red, 1):
+                (v,) = sub.subspace_basis
+                w = (0, 1) if v[0] else (1, 0)
+                q = quotient_action(sub)
+                assert (q.rank, q.p, q.num_generators) == (1, p, len(mats))
+                for ((a, b), (c, d)), ((chi,),) in zip(mats, q.matrices):
+                    x = a * w[0] + b * w[1] - chi * w[0]
+                    y = c * w[0] + d * w[1] - chi * w[1]
+                    assert (x * v[1] - y * v[0]) % p == 0, (mats, p, v)
+                lines += 1
+        assert lines >= 3 * (p + 1)  # the all-scalar corpus pairs fix every line
+
+
 class TestClassification:
     def test_lemma_flags(self):
         for p in PRIMES_TO_31:
