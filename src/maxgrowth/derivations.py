@@ -128,7 +128,8 @@ def solution_space(system: CocycleSystem, p: int) -> DerivationSpace:
 
 def _solution_space(system: CocycleSystem, p: int) -> DerivationSpace:
     """``solution_space`` for a p already proven prime: the p of a reduced
-    ``ModuleAction``, which proves it when it is built."""
+    ``ModuleAction``, which ``reduce_mod_p`` or its constructor proved, or
+    the p that ``classify_index`` factored out of a prime index n."""
     if system.p is None:
         rank = sum(1 for d in system.invariants if d % p)
     elif system.p == p:

@@ -23,6 +23,15 @@ ENUMERATION_BOUND, and past it invariant_subspaces raises ValueError.
 The quotient by an invariant line is one-dimensional, so each matrix
 acts on it by a character, d - bt or a; quotient_action returns these
 characters as a rank-1 action over F_p.
+
+Invertibility mod p is proven once, when the integral action is built:
+its matrices have det +-1, and reduction mod p is a ring map, so each
+reduced matrix has det +-1 != 0 mod p at every prime.  reduce_mod_p
+therefore reduces the entries and checks only that p is prime, and a
+line character needs no check either: M's character on F_p^2 / L times
+its eigenvalue on L is det M mod p, which is not 0.  Both build their F_p action through
+_proven_action, which skips ModuleAction's checks; the public
+constructor keeps all of them.
 """
 
 from __future__ import annotations
@@ -96,11 +105,27 @@ class ModuleAction:
         return all(self.word_matrix(rel) == eye for rel in presentation.relators)
 
 
+def _proven_action(rank: int, p: int, matrices: tuple[Matrix, ...]) -> ModuleAction:
+    """A ModuleAction over F_p from matrices already reduced mod a prime p
+    and already proven invertible mod p, built without re-checking."""
+    action = object.__new__(ModuleAction)
+    object.__setattr__(action, "rank", rank)
+    object.__setattr__(action, "p", p)
+    object.__setattr__(action, "matrices", matrices)
+    return action
+
+
 def reduce_mod_p(action: ModuleAction, p: int) -> ModuleAction:
-    """Entrywise reduction of an integral action; stays invertible mod p."""
+    """Entrywise reduction of an integral action mod a prime p.  No
+    determinant is recomputed: the integral action proved det = +-1 for
+    every matrix when it was built, and reduction mod p is a ring map, so
+    each reduced matrix has det +-1 mod p, which no prime divides."""
     if action.p is not None:
         raise ValueError("action is already reduced mod a prime")
-    return ModuleAction(action.rank, p, action.matrices)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    reduced = tuple(tuple(tuple(x % p for x in row) for row in m) for m in action.matrices)
+    return _proven_action(action.rank, p, reduced)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,19 +276,22 @@ def quotient_action(sub: Submodule) -> ModuleAction:
     [[a, b], [c, d]] acts by a character, read off the image of the
     complement vector: M e_2 = b (1, t) + (d - bt) e_2 gives d - bt on
     F_p^2 / <(1, t)>, and M e_1 = a e_1 + c (0, 1) gives a on
-    F_p^2 / <(0, 1)>.  Raises ValueError if some matrix moves the line."""
+    F_p^2 / <(0, 1)>.  Each character is written reduced into 1..p-1: it
+    times M's eigenvalue on the line is det M, not 0 mod p.  Raises
+    ValueError if some matrix moves the line."""
     action = sub.ambient
     if not sub.subspace_basis:
         return action
     ((x, t),) = sub.subspace_basis
     slope = t if x else None
+    p = action.p
     characters = []
     for m in action.matrices:
-        if not _fixes_line(m, slope, action.p):
+        if not _fixes_line(m, slope, p):
             raise ValueError("subspace is not invariant under the action")
         (a, b), (_, d) = m
-        characters.append(((a if slope is None else d - b * slope,),))
-    return ModuleAction(1, action.p, tuple(characters))
+        characters.append((((a if slope is None else d - b * slope) % p,),))
+    return _proven_action(1, p, tuple(characters))
 
 
 def maximal_submodules(

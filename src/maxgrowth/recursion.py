@@ -20,10 +20,13 @@ quotient N/pN is N reduced mod p, so its derivations number p^(unknowns
 - #{invariants d : p does not divide d}), read off the level's
 invariants with no quotient action or elimination per prime: (2,) *
 (i - 2) for the G_i level, (1, |k - 2|) for the H_k level with k != 2,
-and (1,) for H_2.  A maximal submodule that is an invariant line L of
-F_p^2 leaves a one-dimensional quotient, on which each generator acts by
-a character chi_L; its derivations are counted over F_p.  Each cell
-classifies n once and hands the class down the chain.
+and (1,) for H_2.  A rank-1 level (each G_i) needs nothing more: the
+one maximal submodule of Z is pZ, of index p, so the level adds its pN
+term at a prime n = p and nothing at any other n, with no submodule
+search.  A maximal submodule that is an invariant line L of F_p^2 leaves
+a one-dimensional quotient, on which each generator acts by a character
+chi_L; its derivations are counted over F_p.  Each cell classifies n
+once and hands the class down the chain.
 """
 
 from __future__ import annotations
@@ -57,15 +60,22 @@ def max_count_split(
     ext: SplitExtension, quotient_count: int, n: int, *, index_class: IndexClass | None = None
 ) -> int:
     """m_n of the extension: the quotient's m_n, ``quotient_count``, plus one
-    derivation count per maximal submodule of index n.  A caller that has
-    already classified n passes ``index_class=classify_index(n)``."""
+    derivation count per maximal submodule of index n.  At rank 1 that
+    submodule is pZ at a prime n = p only, counted with the p that
+    classify_index proved prime.  A caller that has already classified n
+    passes ``index_class=classify_index(n)``."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    cls = classify_index(n) if index_class is None else index_class
+    if ext.module.rank == 1:
+        if cls.kind != "prime":
+            return quotient_count
+        return quotient_count + _solution_space(ext.cocycles, cls.p).count
     total = quotient_count
-    for sub in maximal_submodules(ext.module, n, index_class=index_class):
+    for sub in maximal_submodules(ext.module, n, index_class=cls):
         if sub.subspace_basis:
             total += count_derivations(ext.quotient, quotient_action(sub)).count
-        else:  # N_0 = pN: N/N_0 is N reduced mod p, whose action proved p prime
+        else:  # N_0 = pN: N/N_0 is N reduced mod p, and classify_index proved p prime
             total += _solution_space(ext.cocycles, sub.p).count
     return total
 

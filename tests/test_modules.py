@@ -73,10 +73,19 @@ class TestModuleAction:
         assert reduce_mod_p(act, 5).matrices[1] == ((0, 1), (4, 3))
         assert reduce_mod_p(act, 2).matrices[0] == ((0, 1), (1, 0))
         assert reduce_mod_p(hk_action(2), 2).matrices[1] == ((0, 1), (1, 0))
-        with pytest.raises(ValueError):
-            reduce_mod_p(act, 6)
+        for modulus in (6, 0, 1, 4, 9):
+            with pytest.raises(ValueError, match=f"{modulus} is not prime"):
+                reduce_mod_p(act, modulus)
         with pytest.raises(ValueError):
             reduce_mod_p(reduce_mod_p(act, 5), 5)
+
+    @pytest.mark.parametrize("p", primes_up_to(97))
+    def test_reduce_mod_p_matches_the_constructor(self, p):
+        # the reduction skips the determinant the constructor computes, and
+        # must still give the constructor's matrices
+        for mats in [hk_action_matrices(k) for k in range(-50, 51)] + CORPUS_PAIRS:
+            act = ModuleAction(2, None, mats)
+            assert reduce_mod_p(act, p).matrices == ModuleAction(2, p, act.matrices).matrices
 
 
 EIGENLINE_PRIMES = [2, 3, 5, 7, 17, 41, 97, 257]  # 17, 41, 97, 257 are 1 mod 8
@@ -407,6 +416,7 @@ class TestLineCharacters:
                 q = quotient_action(sub)
                 assert (q.rank, q.p, q.num_generators) == (1, p, len(mats))
                 for ((a, b), (c, d)), ((chi,),) in zip(mats, q.matrices):
+                    assert 1 <= chi <= p - 1, (mats, p, v)
                     x = a * w[0] + b * w[1] - chi * w[0]
                     y = c * w[0] + d * w[1] - chi * w[1]
                     assert (x * v[1] - y * v[0]) % p == 0, (mats, p, v)

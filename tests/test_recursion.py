@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import sys
 
 import numpy as np
@@ -70,7 +71,7 @@ class TestRecursiveGk:
     @pytest.mark.parametrize("p", [1000003, 10 ** 10 + 19])
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_primes_beyond_enumeration_bound(self, k, p):
-        # rank 1 has a single codimension-1 subspace, so nothing is enumerated
+        # a rank-1 level adds its pZ term directly, so nothing is enumerated
         assert recursive_gk(k, p) == max_count_gk(k, p).count
 
     def test_large_prime_values(self):
@@ -117,12 +118,24 @@ class TestStrongPseudoprime:
         assert recursive_hk(5, self.PSI_12) == 0
 
 
+def sign_level(signs):
+    """Z x| G_m with the i-th generator of G_m acting on Z by signs[i]."""
+    return SplitExtension(make_gk(len(signs)), ModuleAction(1, None, tuple(((s,),) for s in signs)))
+
+
 class TestIntegralCocycles:
-    # the G_2..G_6 levels (Z x| G_{i-1}) and the H_-5..H_5 lattice levels
-    LEVELS = [("gk", i) for i in range(2, 7)] + [("hk", k) for k in range(-5, 6)]
+    # the G_2..G_6 levels (Z x| G_{i-1}), the H_-5..H_5 lattice levels, and
+    # Z x| G_m under every sign character, m = 1..4 (the G_k^eps levels)
+    LEVELS = (
+        [("gk", i) for i in range(2, 7)]
+        + [("hk", k) for k in range(-5, 6)]
+        + [("eps", signs) for m in range(1, 5) for signs in itertools.product((1, -1), repeat=m)]
+    )
 
     @staticmethod
     def level(family, i):
+        if family == "eps":
+            return sign_level(i)
         return recursion._gk_level(i) if family == "gk" else recursion._hk_level(i)
 
     @pytest.mark.parametrize("family,i", LEVELS)
@@ -134,9 +147,10 @@ class TestIntegralCocycles:
 
     @pytest.mark.parametrize("family,i", LEVELS)
     def test_max_count_split_matches_quotient_path(self, family, i):
-        # every summand through the quotient action, as for a line quotient
+        # every summand through the quotient action, as for a line quotient;
+        # the composite indices check that a level adds nothing off the primes
         ext = self.level(family, i)
-        indices = list(primes_up_to(199)) + [p * p for p in primes_up_to(29)]
+        indices = list(primes_up_to(199)) + [p * p for p in primes_up_to(29)] + [6, 12, 30, 100]
         for n in indices:
             expected = sum(
                 count_derivations(ext.quotient, quotient_action(sub)).count
@@ -161,8 +175,8 @@ class TestSmithPath:
             solution_space(recursion._hk_level(6).cocycles, p)
 
     def test_route_2_does_not_prove_p_prime_again(self, monkeypatch):
-        # every p reaching the derivation counts comes from a reduced
-        # ModuleAction, which proved it prime when it was built
+        # every p reaching the derivation counts is the one classify_index
+        # factored out of n, or that of an action reduce_mod_p proved prime
         proofs = []
         monkeypatch.setattr(derivations, "is_prime", lambda p: proofs.append(p) or True)
         for n in (2, 3, 4, 5, 9, 25, 49, 1009, 1009 ** 2):
@@ -326,3 +340,32 @@ class TestValidatedOnce:
         assert cli.main(argv) == 0
         assert "fail=0" in capsys.readouterr().out
         assert 0 < len(calls) <= levels
+
+
+class TestProvenOnce:
+    """A prime that classify_index or the integral action has proven is not
+    re-decided on the way to the derivation counts."""
+
+    def test_gk_levels_skip_the_submodule_search(self, monkeypatch):
+        for i in range(2, 7):
+            recursion._gk_level(i)
+        expected = [recursive_gk(6, n) for n in range(2, 1001)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a rank-1 level searched for submodules")
+
+        monkeypatch.setattr(recursion, "maximal_submodules", forbidden)
+        monkeypatch.setattr(modules, "reduce_mod_p", forbidden)
+        assert [recursive_gk(6, n) for n in range(2, 1001)] == expected
+
+    def test_hk_reductions_compute_no_determinant(self, monkeypatch):
+        recursion._gk_level(2)
+        for k in range(-5, 6):
+            recursion._hk_level(k)
+        calls = []
+        int_det = modules.int_det
+        monkeypatch.setattr(modules, "int_det", lambda mat: calls.append(mat) or int_det(mat))
+        for k in range(-5, 6):
+            for p in primes_up_to(200):
+                assert recursive_hk(k, p) == max_count_hk(k, p).count, (k, p)
+        assert calls == []
